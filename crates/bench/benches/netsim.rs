@@ -30,8 +30,20 @@ fn main() {
             MacKind::tdma(),
             Routing::Star { coordinator: 0 },
         ),
+        (
+            "star_aloha",
+            MacKind::slotted_aloha(),
+            Routing::Star { coordinator: 0 },
+        ),
+        (
+            "star_hybrid",
+            MacKind::hybrid(),
+            Routing::Star { coordinator: 0 },
+        ),
         ("mesh_csma", MacKind::csma(), Routing::mesh()),
         ("mesh_tdma", MacKind::tdma(), Routing::mesh()),
+        ("mesh_aloha", MacKind::slotted_aloha(), Routing::mesh()),
+        ("mesh_hybrid", MacKind::hybrid(), Routing::mesh()),
     ];
     for (name, mac, routing) in cases {
         let cfg = NetworkConfig::new(placements(), TxPower::ZeroDbm, mac, routing);

@@ -1,13 +1,9 @@
 //! The future-event list and simulation clock.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::{SimDuration, SimTime};
-
-/// Handle to a scheduled event, usable to [`cancel`](Engine::cancel) it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
 
 struct Scheduled<E> {
     time: SimTime,
@@ -15,9 +11,15 @@ struct Scheduled<E> {
     event: E,
 }
 
+impl<E> Scheduled<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Scheduled<E> {}
@@ -30,23 +32,33 @@ impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse for min-heap behaviour inside BinaryHeap (a max-heap):
         // earliest time first; FIFO among equal times via the sequence no.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
 /// A deterministic discrete-event engine.
 ///
 /// The engine is generic over the model's event type `E`. It maintains the
-/// future-event list, the simulation clock and (lazily) cancelled timers.
+/// future-event list, the simulation clock and an optional horizon.
 /// Events scheduled for the same instant are delivered in scheduling order.
 ///
+/// Besides the heap, the engine has one *tick lane*: a single pending event
+/// held outside the heap, armed with [`schedule_tick_at`] /
+/// [`schedule_tick_in`]. A periodic model event (a MAC slot boundary that
+/// re-arms itself every slot) rides there and skips the heap's push and
+/// pop. The lane changes cost, not order: a tick takes its sequence number
+/// when it is armed, exactly like a heap event, and [`pop`] delivers
+/// whichever of the tick and the heap's earliest event comes first by
+/// `(time, seq)`.
+///
 /// See the [crate-level example](crate) for usage.
+///
+/// [`schedule_tick_at`]: Engine::schedule_tick_at
+/// [`schedule_tick_in`]: Engine::schedule_tick_in
+/// [`pop`]: Engine::pop
 pub struct Engine<E> {
     queue: BinaryHeap<Scheduled<E>>,
-    cancelled: HashSet<u64>,
+    tick: Option<Scheduled<E>>,
     now: SimTime,
     next_seq: u64,
     horizon: SimTime,
@@ -57,7 +69,7 @@ impl<E> std::fmt::Debug for Engine<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now)
-            .field("pending", &self.queue.len())
+            .field("pending", &self.pending())
             .field("delivered", &self.delivered)
             .field("horizon", &self.horizon)
             .finish()
@@ -75,7 +87,7 @@ impl<E> Engine<E> {
     pub fn new() -> Self {
         Self {
             queue: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            tick: None,
             now: SimTime::ZERO,
             next_seq: 0,
             horizon: SimTime::MAX,
@@ -93,9 +105,9 @@ impl<E> Engine<E> {
         self.delivered
     }
 
-    /// Number of events still pending (including lazily cancelled ones).
+    /// Number of events still pending, the armed tick included.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + usize::from(self.tick.is_some())
     }
 
     /// Sets the horizon: events strictly after it are never delivered.
@@ -103,13 +115,13 @@ impl<E> Engine<E> {
         self.horizon = horizon;
     }
 
-    /// Schedules `event` at absolute time `at`, returning a cancel handle.
+    /// Stamps `event` for delivery at `at` with the next sequence number.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past (before the engine's current time):
     /// causality would be violated.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventHandle {
+    fn stamp(&mut self, at: SimTime, event: E) -> Scheduled<E> {
         assert!(
             at >= self.now,
             "cannot schedule into the past: now = {}, requested = {}",
@@ -118,54 +130,86 @@ impl<E> Engine<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Scheduled {
+        Scheduled {
             time: at,
             seq,
             event,
-        });
-        EventHandle(seq)
+        }
+    }
+
+    /// Schedules `event` at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past (before the engine's current time):
+    /// causality would be violated.
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        let scheduled = self.stamp(at, event);
+        self.queue.push(scheduled);
     }
 
     /// Schedules `event` after `delay` from the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventHandle {
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.schedule_at(self.now + delay, event)
     }
 
-    /// Cancels a previously scheduled event. Cancelling an event that has
-    /// already fired (or was already cancelled) is a no-op.
-    pub fn cancel(&mut self, handle: EventHandle) {
-        self.cancelled.insert(handle.0);
+    /// Arms the tick lane with `event` at absolute time `at`. The tick is
+    /// ordered against heap events by `(time, seq)`, its sequence number
+    /// taken now, so arming a tick is observably identical to
+    /// [`schedule_at`](Engine::schedule_at).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past, or if a tick is already armed (the
+    /// lane holds one event; a periodic model re-arms it from the tick's
+    /// own handler).
+    pub fn schedule_tick_at(&mut self, at: SimTime, event: E) {
+        assert!(self.tick.is_none(), "the tick lane is already armed");
+        self.tick = Some(self.stamp(at, event));
     }
 
-    /// Pops the next event, advancing the clock. Returns `None` once the
-    /// queue is exhausted or the next event lies beyond the horizon.
+    /// Arms the tick lane with `event` after `delay` from the current time.
+    ///
+    /// # Panics
+    ///
+    /// As [`schedule_tick_at`](Engine::schedule_tick_at).
+    pub fn schedule_tick_in(&mut self, delay: SimDuration, event: E) {
+        self.schedule_tick_at(self.now + delay, event)
+    }
+
+    /// Pops the next event, advancing the clock. Returns `None` once no
+    /// event is pending or the next one lies beyond the horizon (it then
+    /// stays pending, and `pop` keeps returning `None`).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let next = self.queue.pop()?;
-            if self.cancelled.remove(&next.seq) {
-                continue;
-            }
-            if next.time > self.horizon {
-                // Past the horizon: simulation over. Leave the clock where
-                // it is; drop the event (and the rest stays in the queue,
-                // which is fine because `pop` will keep returning `None`
-                // only after re-pushing).
-                self.queue.push(next);
-                return None;
-            }
-            // Event-time monotonicity: the heap must never hand us an event
-            // older than the clock. A violation means the ordering in
-            // `Scheduled::cmp` (or a future refactor of it) is broken.
-            debug_assert!(
-                next.time >= self.now,
-                "event-time monotonicity violated: clock at {}, popped event at {}",
-                self.now,
-                next.time
-            );
-            self.now = next.time;
-            self.delivered += 1;
-            return Some((next.time, next.event));
+        let tick_first = match (&self.tick, self.queue.peek()) {
+            (Some(tick), Some(head)) => tick.key() < head.key(),
+            (tick, _) => tick.is_some(),
+        };
+        let next_time = if tick_first {
+            self.tick.as_ref()?.time
+        } else {
+            self.queue.peek()?.time
+        };
+        if next_time > self.horizon {
+            return None;
         }
+        let next = if tick_first {
+            self.tick.take()
+        } else {
+            self.queue.pop()
+        }?;
+        // Event-time monotonicity: neither lane may hand us an event older
+        // than the clock. A violation means the ordering in
+        // `Scheduled::cmp` (or a future refactor of it) is broken.
+        debug_assert!(
+            next.time >= self.now,
+            "event-time monotonicity violated: clock at {}, popped event at {}",
+            self.now,
+            next.time
+        );
+        self.now = next.time;
+        self.delivered += 1;
+        Some((next.time, next.event))
     }
 }
 
@@ -213,25 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_suppresses_delivery() {
-        let mut e = Engine::new();
-        let h = e.schedule_at(SimTime::from_nanos(1), "x");
-        e.schedule_at(SimTime::from_nanos(2), "y");
-        e.cancel(h);
-        assert_eq!(e.pop().map(|(_, v)| v), Some("y"));
-        assert_eq!(e.pop(), None);
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut e = Engine::new();
-        let h = e.schedule_at(SimTime::from_nanos(1), ());
-        e.pop();
-        e.cancel(h); // no panic, no effect
-        assert_eq!(e.pop(), None);
-    }
-
-    #[test]
     fn horizon_stops_delivery() {
         let mut e = Engine::new();
         e.set_horizon(SimTime::from_secs(1.0));
@@ -264,5 +289,43 @@ mod tests {
         }
         while e.pop().is_some() {}
         assert_eq!(e.delivered(), 5);
+    }
+
+    #[test]
+    fn tick_interleaves_with_heap_by_time_then_seq() {
+        let mut e = Engine::new();
+        let t = SimTime::from_nanos(10);
+        e.schedule_at(t, "heap-before");
+        e.schedule_tick_at(t, "tick");
+        e.schedule_at(t, "heap-after");
+        e.schedule_at(SimTime::from_nanos(5), "early");
+        assert_eq!(e.pending(), 4);
+        let order: Vec<_> = std::iter::from_fn(|| e.pop()).map(|(_, x)| x).collect();
+        assert_eq!(order, vec!["early", "heap-before", "tick", "heap-after"]);
+        assert_eq!(e.delivered(), 4);
+    }
+
+    #[test]
+    fn tick_rearms_from_its_own_handler() {
+        let mut e = Engine::new();
+        e.set_horizon(SimTime::from_nanos(35));
+        e.schedule_tick_at(SimTime::ZERO, 0u64);
+        let mut ticks = Vec::new();
+        while let Some((t, i)) = e.pop() {
+            ticks.push(t.as_nanos());
+            e.schedule_tick_in(SimDuration::from_nanos(10), i + 1);
+        }
+        assert_eq!(ticks, vec![0, 10, 20, 30]);
+        // The tick past the horizon stays armed and undelivered.
+        assert_eq!(e.pending(), 1);
+        assert_eq!(e.pop(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "already armed")]
+    fn double_arming_the_tick_panics() {
+        let mut e = Engine::new();
+        e.schedule_tick_at(SimTime::from_nanos(1), ());
+        e.schedule_tick_at(SimTime::from_nanos(2), ());
     }
 }

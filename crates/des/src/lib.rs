@@ -7,8 +7,8 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time
 //!   as integers, so event ordering is exact and runs are reproducible.
 //! * [`Engine`] — a future-event list with a monotone clock, stable FIFO
-//!   ordering among simultaneous events, cancellable timers and an optional
-//!   horizon.
+//!   ordering among simultaneous events, a heap-free tick lane for one
+//!   periodic event, and an optional horizon.
 //! * [`rng`] — seed-derived independent random streams (SplitMix64-based),
 //!   so each stochastic component of a model gets its own reproducible
 //!   generator.
@@ -54,6 +54,6 @@ pub mod rng;
 pub mod stats;
 mod time;
 
-pub use engine::{Engine, EventHandle};
+pub use engine::Engine;
 pub use fault::Window;
 pub use time::{SimDuration, SimTime};

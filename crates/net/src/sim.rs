@@ -1,7 +1,7 @@
 //! The event-driven WBAN simulation: application, routing, MAC and radio
 //! state machines over the [`hi_des`] kernel.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use hi_channel::{BodyLocation, ChannelModel};
 use hi_des::{rng, Engine, SimDuration, SimTime};
@@ -14,7 +14,9 @@ use crate::packet::Packet;
 use crate::params::{ConfigError, FloodMode, MacKind, NetworkConfig, Routing};
 use crate::trace::TraceEvent;
 
-/// Simulation events.
+/// Simulation events. The slot events (`TdmaSlot`, `AlohaSlot`,
+/// `HybridSlot`) form the run's one self-re-arming slot chain and ride the
+/// engine's tick lane; all others go through its heap.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// Node's application layer emits its next periodic packet. `epoch`
@@ -45,6 +47,37 @@ enum Event {
     NodeUp { node: usize },
 }
 
+/// A set of one origin's sequence numbers, as a dense bitset.
+///
+/// Sequence numbers are dense per origin (each origin counts up from zero
+/// and never reuses one), so a bitset indexed by `seq` is exact and never
+/// larger than one bit per packet the origin generated.
+#[derive(Debug, Clone, Default)]
+struct SeqSet {
+    words: Vec<u64>,
+    len: u64,
+}
+
+impl SeqSet {
+    /// Adds `seq`; returns whether it was absent.
+    fn insert(&mut self, seq: u32) -> bool {
+        let word = seq as usize / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let bit = 1u64 << (seq % 64);
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        self.len += u64::from(fresh);
+        fresh
+    }
+
+    /// Number of distinct sequence numbers inserted.
+    fn len(&self) -> u64 {
+        self.len
+    }
+}
+
 /// Per-node protocol state.
 #[derive(Debug)]
 struct NodeState {
@@ -58,9 +91,10 @@ struct NodeState {
     next_seq: u32,
     generated: u64,
     /// `received[origin]` = set of unique sequence numbers seen.
-    received: Vec<HashSet<u32>>,
-    /// Packets this node has already relayed, for duplicate suppression.
-    relayed: HashSet<(usize, u32)>,
+    received: Vec<SeqSet>,
+    /// `relayed[origin]` = packets this node has already relayed, for
+    /// duplicate suppression.
+    relayed: Vec<SeqSet>,
     tx_energy_j: f64,
     rx_energy_j: f64,
     /// Cleared by a scheduled [`NodeFault`](crate::NodeFault) or an
@@ -83,8 +117,8 @@ impl NodeState {
             attempts: 0,
             next_seq: 0,
             generated: 0,
-            received: vec![HashSet::new(); num_nodes],
-            relayed: HashSet::new(),
+            received: vec![SeqSet::default(); num_nodes],
+            relayed: vec![SeqSet::default(); num_nodes],
             tx_energy_j: 0.0,
             rx_energy_j: 0.0,
             alive: true,
@@ -142,8 +176,9 @@ pub struct NetworkSim<C: ChannelModel> {
     deliveries: u64,
     buffer_drops: u64,
     mac_drops: u64,
-    /// Generation instant per live packet identity, for latency samples.
-    gen_times: std::collections::HashMap<(usize, u32), SimTime>,
+    /// `gen_times[origin][seq]`: generation instant of each packet, for
+    /// latency samples (dense because `seq` is).
+    gen_times: Vec<Vec<SimTime>>,
     latency: Tally,
     /// Event trace, populated only by [`run_traced`](NetworkSim::run_traced).
     trace: Option<Vec<TraceEvent>>,
@@ -206,7 +241,7 @@ impl<C: ChannelModel> NetworkSim<C> {
             deliveries: 0,
             buffer_drops: 0,
             mac_drops: 0,
-            gen_times: std::collections::HashMap::new(),
+            gen_times: vec![Vec::new(); n],
             latency: Tally::new(),
             trace: None,
             event_budget: None,
@@ -263,20 +298,14 @@ impl<C: ChannelModel> NetworkSim<C> {
             self.engine
                 .schedule_at(SimTime::ZERO + phase, Event::Generate { node: i, epoch: 0 });
         }
-        match self.cfg.mac {
-            MacKind::Tdma(_) => {
-                self.engine
-                    .schedule_at(SimTime::ZERO, Event::TdmaSlot { index: 0 });
-            }
-            MacKind::SlottedAloha(_) => {
-                self.engine
-                    .schedule_at(SimTime::ZERO, Event::AlohaSlot { index: 0 });
-            }
-            MacKind::Hybrid(_) => {
-                self.engine
-                    .schedule_at(SimTime::ZERO, Event::HybridSlot { index: 0 });
-            }
-            MacKind::Csma(_) => {}
+        let first_slot = match self.cfg.mac {
+            MacKind::Tdma(_) => Some(Event::TdmaSlot { index: 0 }),
+            MacKind::SlottedAloha(_) => Some(Event::AlohaSlot { index: 0 }),
+            MacKind::Hybrid(_) => Some(Event::HybridSlot { index: 0 }),
+            MacKind::Csma(_) => None,
+        };
+        if let Some(slot) = first_slot {
+            self.engine.schedule_tick_at(SimTime::ZERO, slot);
         }
         for fault in self.cfg.faults.clone() {
             self.engine.schedule_at(
@@ -410,15 +439,23 @@ impl<C: ChannelModel> NetworkSim<C> {
             .schedule_at(now + phase, Event::Generate { node, epoch });
     }
 
-    /// The effective path loss between two sites right now: the channel
-    /// model's loss plus whatever the fault scenario injects (an active
-    /// link blackout, interference bursts).
-    fn link_loss_db(&mut self, from: BodyLocation, to: BodyLocation, now: SimTime) -> f64 {
-        self.channel.path_loss_db(from, to, now)
-            + self
-                .cfg
+    /// Whether a frame sent from `from` now reaches `to`: the link budget
+    /// against the channel model's loss plus whatever the fault scenario
+    /// injects (an active link blackout, interference bursts). Takes its
+    /// fields apart from `self` so callers can iterate the medium while
+    /// querying the channel.
+    fn link_closes(
+        channel: &mut C,
+        cfg: &NetworkConfig,
+        from: BodyLocation,
+        to: BodyLocation,
+        now: SimTime,
+    ) -> bool {
+        let loss = channel.path_loss_db(from, to, now)
+            + cfg
                 .scenario
-                .link_extra_loss_db(from.index(), to.index(), now)
+                .link_extra_loss_db(from.index(), to.index(), now);
+        cfg.radio.link_closes(loss)
     }
 
     /// The generation period of `node` (honours per-node rate overrides).
@@ -441,7 +478,8 @@ impl<C: ChannelModel> NetworkSim<C> {
         self.nodes[node].next_seq += 1;
         self.nodes[node].generated += 1;
         let pkt = Packet::new(node, seq);
-        self.gen_times.insert(pkt.key(), now);
+        debug_assert_eq!(self.gen_times[node].len(), seq as usize, "seq is dense");
+        self.gen_times[node].push(now);
         self.record(TraceEvent::Generated { t: now, node, seq });
         self.enqueue(now, node, pkt);
         let period = self.node_period(node);
@@ -567,7 +605,7 @@ impl<C: ChannelModel> NetworkSim<C> {
             }
         }
         self.engine
-            .schedule_in(aloha.slot, Event::AlohaSlot { index: index + 1 });
+            .schedule_tick_in(aloha.slot, Event::AlohaSlot { index: index + 1 });
     }
 
     fn on_hybrid_slot(&mut self, now: SimTime, index: u64) {
@@ -601,7 +639,7 @@ impl<C: ChannelModel> NetworkSim<C> {
             }
         }
         self.engine
-            .schedule_in(h.slot, Event::HybridSlot { index: index + 1 });
+            .schedule_tick_in(h.slot, Event::HybridSlot { index: index + 1 });
     }
 
     fn on_tdma_slot(&mut self, now: SimTime, index: u64) {
@@ -616,19 +654,25 @@ impl<C: ChannelModel> NetworkSim<C> {
             self.start_transmission(now, owner);
         }
         self.engine
-            .schedule_in(tdma.slot, Event::TdmaSlot { index: index + 1 });
+            .schedule_tick_in(tdma.slot, Event::TdmaSlot { index: index + 1 });
     }
 
     /// The end time of the last in-flight transmission audible at `node`
     /// (current time if none are audible).
     fn audible_busy_until(&mut self, now: SimTime, node: usize) -> SimTime {
-        let transmissions: Vec<(usize, SimTime)> = self.medium.active_transmissions().collect();
-        let loc = self.nodes[node].loc;
+        let Self {
+            channel,
+            cfg,
+            nodes,
+            medium,
+            tpkt,
+            ..
+        } = self;
+        let loc = nodes[node].loc;
         let mut until = now;
-        for (tx, start) in transmissions {
-            let pl = self.link_loss_db(self.nodes[tx].loc, loc, now);
-            if self.cfg.radio.link_closes(pl) {
-                until = until.max(start + self.tpkt);
+        for (tx, start) in medium.active_transmissions() {
+            if Self::link_closes(channel, cfg, nodes[tx].loc, loc, now) {
+                until = until.max(start + *tpkt);
             }
         }
         until
@@ -637,12 +681,17 @@ impl<C: ChannelModel> NetworkSim<C> {
     /// Carrier sense: is any in-flight transmission audible at `node`?
     /// (CCA threshold taken equal to the receiver sensitivity.)
     fn channel_busy_at(&mut self, now: SimTime, node: usize) -> bool {
-        let transmitters: Vec<usize> = self.medium.active_transmitters().collect();
-        let loc = self.nodes[node].loc;
-        transmitters.into_iter().any(|tx| {
-            let pl = self.link_loss_db(self.nodes[tx].loc, loc, now);
-            self.cfg.radio.link_closes(pl)
-        })
+        let Self {
+            channel,
+            cfg,
+            nodes,
+            medium,
+            ..
+        } = self;
+        let loc = nodes[node].loc;
+        medium
+            .active_transmitters()
+            .any(|tx| Self::link_closes(channel, cfg, nodes[tx].loc, loc, now))
     }
 
     // --- radio layer ----------------------------------------------------------
@@ -656,17 +705,17 @@ impl<C: ChannelModel> NetworkSim<C> {
         self.transmissions += 1;
         // Determine audibility per receiver at transmission start.
         let tx_loc = self.nodes[node].loc;
-        let mut audible = Vec::with_capacity(self.nodes.len() - 1);
+        let mut audible = 0u16;
         for r in 0..self.nodes.len() {
-            if r == node || self.nodes[r].transmitting || !self.nodes[r].alive {
+            let st = &self.nodes[r];
+            if r == node || st.transmitting || !st.alive {
                 continue;
             }
-            let pl = self.link_loss_db(tx_loc, self.nodes[r].loc, now);
-            if self.cfg.radio.link_closes(pl) {
-                audible.push(r);
+            if Self::link_closes(&mut self.channel, &self.cfg, tx_loc, st.loc, now) {
+                audible |= 1 << r;
             }
         }
-        self.medium.start_tx(node, pkt, now, &audible);
+        self.medium.start_tx(node, pkt, now, audible);
         self.record(TraceEvent::TxStart {
             t: now,
             node,
@@ -715,10 +764,9 @@ impl<C: ChannelModel> NetworkSim<C> {
             if self.nodes[node].received[origin].insert(seq) {
                 // First arrival of this packet at this receiver: a latency
                 // sample from generation to application delivery.
-                if let Some(&t0) = self.gen_times.get(&pkt.key()) {
-                    self.latency
-                        .record(now.duration_since(t0).as_secs_f64() * 1e3);
-                }
+                let t0 = self.gen_times[origin][seq as usize];
+                self.latency
+                    .record(now.duration_since(t0).as_secs_f64() * 1e3);
             }
         }
         // Routing decision.
@@ -727,7 +775,7 @@ impl<C: ChannelModel> NetworkSim<C> {
                 if node == coordinator
                     && !pkt.relay
                     && pkt.origin != node
-                    && self.nodes[node].relayed.insert(pkt.key())
+                    && self.nodes[node].relayed[pkt.origin].insert(pkt.seq)
                 {
                     let copy = pkt.relayed_by(node);
                     self.enqueue(now, node, copy);
@@ -739,7 +787,9 @@ impl<C: ChannelModel> NetworkSim<C> {
             } => {
                 if !pkt.has_visited(node) && pkt.hops < max_hops {
                     let relay_ok = match flood_mode {
-                        FloodMode::DedupPerNode => self.nodes[node].relayed.insert(pkt.key()),
+                        FloodMode::DedupPerNode => {
+                            self.nodes[node].relayed[pkt.origin].insert(pkt.seq)
+                        }
                         FloodMode::HistoryOnly => true,
                     };
                     if relay_ok {

@@ -1,10 +1,13 @@
 //! Property-based invariants of the network simulator: for *any* valid
 //! configuration and seed, the metrics must be internally consistent.
 
-use hi_channel::{BodyLocation, ChannelParams};
+use hi_channel::{BodyLocation, Channel, ChannelParams};
 use hi_des::check::{run_cases, Gen};
 use hi_des::SimDuration;
-use hi_net::{simulate_stochastic, FloodMode, MacKind, NetworkConfig, Routing, TxPower};
+use hi_net::{
+    simulate_stochastic, FloodMode, MacKind, NetworkConfig, NetworkSim, Routing, TxPower,
+};
+use hi_trace::{wellknown, Collector};
 
 #[derive(Debug, Clone)]
 struct AnyConfig {
@@ -141,5 +144,44 @@ fn longer_simulation_does_not_break_invariants() {
         .expect("valid");
         assert!((0.0..=1.0).contains(&out.pdr));
         assert!(out.max_power_mw.is_finite() && out.max_power_mw < 100.0);
+    });
+}
+
+#[test]
+fn event_budget_trips_exactly_at_the_dispatched_count() {
+    run_cases(24, 0x4E_0004, |g| {
+        let any = any_config(g);
+        let sim = || {
+            let channel = Channel::new(ChannelParams::default(), any.seed ^ 0xC4A7);
+            NetworkSim::new(
+                any.cfg.clone(),
+                channel,
+                SimDuration::from_secs(3.0),
+                any.seed,
+            )
+            .expect("valid")
+        };
+        let collector = Collector::metrics_only();
+        let outcome = {
+            let _guard = collector.install(0, 0);
+            sim().run()
+        };
+        let events = collector
+            .registry()
+            .expect("enabled collector")
+            .counter_value(wellknown::DES_EVENTS_DISPATCHED);
+        // Slot-driven MACs dispatch thousands of slot ticks in 3 s; even
+        // CSMA generates traffic from every node.
+        assert!(events > 0);
+        // A budget of exactly the dispatched count completes unchanged...
+        assert_eq!(sim().run_budgeted(events), Ok(outcome));
+        // ...and one event fewer trips on the last event, as does a budget
+        // cut mid-run on the event just past it.
+        for budget in [events - 1, events / 2] {
+            let trip = sim()
+                .run_budgeted(budget)
+                .expect_err("budget below the count");
+            assert_eq!((trip.events, trip.budget), (budget + 1, budget));
+        }
     });
 }
