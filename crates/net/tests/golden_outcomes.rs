@@ -1,5 +1,8 @@
 //! Golden outcomes: the exact bits of every [`SimOutcome`] field, plus the
 //! number of dispatched DES events, over a MAC × routing × fault matrix.
+//! Each case also pins where a run under half that many events trips its
+//! budget: the events counted at the trip, the budget and the simulated
+//! instant, so event accounting is exact mid-run as well as at the end.
 //!
 //! The simulator is deterministic per configuration and seed, so any change
 //! to event ordering, random-stream consumption or bookkeeping shows up
@@ -18,9 +21,9 @@
 use hi_channel::{BodyLocation, ChannelParams};
 use hi_des::{SimDuration, SimTime};
 use hi_net::{
-    simulate_stochastic, CsmaAccessMode, CsmaParams, FaultScenario, FloodMode, InterferenceBurst,
-    LinkBlackout, MacKind, NetworkConfig, NodeFault, Routing, SimOutcome, SiteOutage, TxPower,
-    Window,
+    simulate_stochastic, simulate_stochastic_budgeted, CsmaAccessMode, CsmaParams, FaultScenario,
+    FloodMode, InterferenceBurst, LinkBlackout, MacKind, NetworkConfig, NodeFault, Routing,
+    SimError, SimOutcome, SiteOutage, TxPower, Window,
 };
 use hi_trace::{wellknown, Collector};
 
@@ -125,25 +128,41 @@ fn render(case: &str, events: u64, o: &SimOutcome) -> String {
     )
 }
 
+const T_SIM: SimDuration = SimDuration::from_micros(20_000_000);
+
 /// Runs one case under a metrics collector, returning the outcome and the
 /// dispatched-event count the simulator reports.
 fn run_case(cfg: &NetworkConfig, seed: u64) -> (SimOutcome, u64) {
     let collector = Collector::metrics_only();
     let outcome = {
         let _guard = collector.install(0, 0);
-        simulate_stochastic(
-            cfg,
-            ChannelParams::default(),
-            SimDuration::from_secs(20.0),
-            seed,
-        )
-        .expect("valid configuration")
+        simulate_stochastic(cfg, ChannelParams::default(), T_SIM, seed)
+            .expect("valid configuration")
     };
     let events = collector
         .registry()
         .expect("enabled collector")
         .counter_value(wellknown::DES_EVENTS_DISPATCHED);
     (outcome, events)
+}
+
+/// Reruns one case under a budget of `budget` events and renders where it
+/// trips.
+fn render_trip(case: &str, cfg: &NetworkConfig, seed: u64, budget: u64) -> String {
+    let trip =
+        simulate_stochastic_budgeted(cfg, ChannelParams::default(), T_SIM, seed, Some(budget));
+    let Err(SimError::DeadlineExceeded {
+        events,
+        budget,
+        at_secs,
+    }) = trip
+    else {
+        panic!("{case}: a budget of half the events must trip, got {trip:?}");
+    };
+    format!(
+        "{case} trip events={events} budget={budget} at={}",
+        hex(at_secs)
+    )
 }
 
 fn render_all() -> Vec<String> {
@@ -166,6 +185,7 @@ fn render_all() -> Vec<String> {
                 let (outcome, events) = run_case(&cfg, seed);
                 let case = format!("{mac_name}/{routing_name}/{fault}/seed{seed}");
                 lines.push(render(&case, events, &outcome));
+                lines.push(render_trip(&case, &cfg, seed, events / 2));
             }
         }
     }
