@@ -7,6 +7,7 @@ use hi_net::{
     simulate, simulate_averaged, simulate_stochastic, FloodMode, MacKind, NetworkConfig, Routing,
     TxPower,
 };
+use hi_trace::{wellknown, Collector};
 
 const T: f64 = 60.0;
 
@@ -718,4 +719,38 @@ fn slotted_aloha_validates_probability() {
         cfg.validate(),
         Err(hi_net::ConfigError::BadAlohaProbability)
     );
+}
+
+#[test]
+fn slot_macs_skip_idle_ticks_and_csma_has_none_to_skip() {
+    for (name, mac) in [
+        ("csma", MacKind::csma()),
+        ("tdma", MacKind::tdma()),
+        ("aloha", MacKind::slotted_aloha()),
+        ("hybrid", MacKind::hybrid()),
+    ] {
+        let cfg = NetworkConfig::new(
+            base_placements(),
+            TxPower::Minus10Dbm,
+            mac,
+            Routing::Star { coordinator: 0 },
+        );
+        let collector = Collector::metrics_only();
+        {
+            let _guard = collector.install(0, 0);
+            simulate_stochastic(&cfg, ChannelParams::default(), t_sim(), 7).expect("valid");
+        }
+        let registry = collector.registry().expect("enabled collector");
+        let dispatched = registry.counter_value(wellknown::DES_EVENTS_DISPATCHED);
+        let skipped = registry.counter_value(wellknown::DES_TICKS_SKIPPED);
+        if name == "csma" {
+            assert_eq!(skipped, 0, "csma has no slot ticks");
+        } else {
+            assert!(skipped > 0, "{name}: no idle slot tick was skipped");
+        }
+        assert!(
+            skipped < dispatched,
+            "{name}: skipped ticks are part of the count"
+        );
+    }
 }

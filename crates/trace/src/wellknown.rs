@@ -43,8 +43,11 @@ pub const MILP_SOLVE_NS: &str = "milp.solve_ns";
 /// Size of each solution pool returned by `solve_pool`.
 pub const MILP_POOL_SIZE: &str = "milp.pool_size";
 
-/// DES events dispatched (all replications).
+/// DES events dispatched (all replications), skipped slot ticks included.
 pub const DES_EVENTS_DISPATCHED: &str = "des.events_dispatched";
+/// Slot ticks fast-forwarded as provable no-ops: counted in
+/// `des.events_dispatched`, never handled.
+pub const DES_TICKS_SKIPPED: &str = "des.ticks_skipped";
 /// Simulated replications (stochastic runs).
 pub const NET_REPLICATIONS: &str = "net.replications";
 /// Application packets generated.
@@ -139,6 +142,7 @@ pub const CATALOG: &[(&str, MetricKind)] = &[
     (MILP_SOLVE_NS, MetricKind::Histogram),
     (MILP_POOL_SIZE, MetricKind::Histogram),
     (DES_EVENTS_DISPATCHED, MetricKind::Counter),
+    (DES_TICKS_SKIPPED, MetricKind::Counter),
     (NET_REPLICATIONS, MetricKind::Counter),
     (NET_PACKETS_GENERATED, MetricKind::Counter),
     (NET_PACKETS_DELIVERED, MetricKind::Counter),
