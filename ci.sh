@@ -22,9 +22,10 @@ fi
 cargo build --release
 HI_EXEC_THREADS=1 cargo test -q
 cargo test -q
-# The simulator's tests again in release mode — the build the benchmark
-# measures — including the golden outcome and budget-trip bits.
-cargo test --release -q -p hi-des -p hi-net
+# The simulator's and the MILP solver's tests again in release mode — the
+# build the benchmark measures — including the golden outcome and
+# budget-trip bits and the dual simplex reoptimization properties.
+cargo test --release -q -p hi-des -p hi-net -p hi-milp
 
 # Concurrency-verification gates. The hi-check mutant self-test (also in
 # the workspace run above, kept explicit here as the named gate): every

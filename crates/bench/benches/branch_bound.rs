@@ -29,10 +29,16 @@ fn main() {
             model.solve().expect("solves").objective()
         });
     }
-    // One MILP query of Algorithm 1 (paper problem, no cuts yet).
-    let enc = MilpEncoding::new(&TopologyConstraints::paper_default(), &AppParams::default());
-    runner.bench("paper_p_tilde_pool", || enc.solve_pool().expect("solves").1);
-    // The full cut ladder (a complete RunMILP sequence).
+    // One cold MILP query of Algorithm 1 (paper problem, no cuts yet).
+    // The encoding is built inside the timed closure: re-solving one
+    // unchanged encoding would only reoptimize its kept tableau.
+    runner.bench("paper_p_tilde_pool", || {
+        let mut enc =
+            MilpEncoding::new(&TopologyConstraints::paper_default(), &AppParams::default());
+        enc.solve_pool().expect("solves").1
+    });
+    // The full cut ladder (a complete RunMILP sequence): one cold query,
+    // then every level reoptimized from the last one.
     runner.bench("paper_cut_ladder", || {
         let mut enc =
             MilpEncoding::new(&TopologyConstraints::paper_default(), &AppParams::default());

@@ -17,7 +17,7 @@
 //! `Σ cost(N, k, r) · z_{N,k,r}` over the 18-combination lattice.
 
 use hi_lint::{CutTracker, Finding, Report};
-use hi_milp::{LinExpr, Model, Sense, Solution, SolveError, VarId};
+use hi_milp::{LinExpr, Model, Sense, Solution, SolveError, VarId, WarmModel};
 use hi_net::{AppParams, TxPower};
 
 use crate::constraints::TopologyConstraints;
@@ -28,9 +28,14 @@ use crate::robustness::{deviation_power_mw, RobustnessSpec};
 /// The growing MILP model behind Algorithm 1's `RunMILP`: construct once,
 /// then alternate [`solve_pool`](MilpEncoding::solve_pool) and
 /// [`add_power_cut`](MilpEncoding::add_power_cut).
+///
+/// The model keeps its root LP relaxation solved between calls
+/// ([`WarmModel`]): each power cut is appended to the last optimal
+/// tableau as one row plus `z` bound edits, and the next `solve_pool`
+/// reoptimizes with a few dual simplex pivots.
 #[derive(Debug, Clone)]
 pub struct MilpEncoding {
-    model: Model,
+    model: WarmModel,
     site_vars: Vec<VarId>,
     power_vars: Vec<(TxPower, VarId)>,
     mac_var: VarId,
@@ -146,7 +151,7 @@ impl MilpEncoding {
         model.minimize(objective_mw.clone());
 
         Self {
-            model,
+            model: WarmModel::new(model),
             site_vars,
             power_vars,
             mac_var,
@@ -167,37 +172,30 @@ impl MilpEncoding {
         // turns the strict inequality into a usable `>=` row.
         self.model
             .add_constraint(self.objective_mw.clone(), Sense::Ge, power_mw + 1e-6);
-        // Fingerprint the new cut (the row just appended) so a ladder that
-        // stops tightening — the classic stalled-Algorithm-1 bug — is
-        // reported instead of looping forever at the same power level.
-        let lint_model = self.model.to_lint_model();
-        if let Some(cut_row) = lint_model.rows.last() {
-            if let Some(finding) = self.cut_tracker.observe(cut_row) {
-                self.cut_findings.push(finding);
-            }
-        }
+        // Fingerprint the new cut so a ladder that stops tightening — the
+        // classic stalled-Algorithm-1 bug — is reported instead of looping
+        // forever at the same power level.
+        self.track_last_cut();
         // Presolve-strength equivalent: the analytic power is `Σ cost·z`
         // over a one-hot lattice, so `P̄ > power_mw` is exactly "no combo
         // at or below the bound" — fixing those `z` to zero keeps the LP
         // relaxation tight (the bare `>=` row alone admits fractional
         // z-mixes that sit on the bound and stall branch & bound).
-        let to_fix: Vec<VarId> = self
-            .z_vars
-            .iter()
-            .filter(|&&(cost, _)| cost <= power_mw + 1e-6)
-            .map(|&(_, v)| v)
-            .collect();
-        for v in to_fix {
-            self.model.set_bounds(v, 0.0, 0.0);
+        for &(cost, v) in &self.z_vars {
+            if cost <= power_mw + 1e-6 {
+                self.model.set_bounds(v, 0.0, 0.0);
+            }
         }
-        // Re-lint the augmented encoding: a cut must never make the model
-        // structurally broken (that would be an encoding bug, not a normal
-        // "ladder exhausted" infeasibility, which is warning-severity).
-        debug_assert!(
-            !self.model.lint().has_errors(),
-            "power cut introduced a structural error:\n{}",
-            self.model.lint()
-        );
+    }
+
+    /// Feeds the row just appended to the cut tracker. Only that row is
+    /// converted, so a cut costs the same at every ladder level.
+    fn track_last_cut(&mut self) {
+        let model = self.model.model();
+        let cut_row = model.to_lint_row(model.num_constraints() - 1);
+        if let Some(finding) = self.cut_tracker.observe(&cut_row) {
+            self.cut_findings.push(finding);
+        }
     }
 
     /// Encodes the Γ-robust counterpart of `P̃`: the nominal encoding plus
@@ -235,7 +233,8 @@ impl MilpEncoding {
             .iter()
             .map(|d| deviation_power_mw(d.delta_db, app))
             .fold(0.0f64, f64::max);
-        let lambda = enc.model.add_continuous("lambda", 0.0, delta_max);
+        let model = enc.model.model_mut();
+        let lambda = model.add_continuous("lambda", 0.0, delta_max);
         let mut robust = enc.objective_mw.clone();
         robust.add_term(lambda, f64::from(spec.gamma));
         for d in &spec.deviations {
@@ -243,25 +242,18 @@ impl MilpEncoding {
             if dp <= 0.0 {
                 continue;
             }
-            let u = enc
-                .model
-                .add_continuous(&format!("u_{}_{}", d.site_a, d.site_b), 0.0, 1.0);
+            let u = model.add_continuous(&format!("u_{}_{}", d.site_a, d.site_b), 0.0, 1.0);
             let (na, nb) = (enc.site_vars[d.site_a], enc.site_vars[d.site_b]);
             if d.site_a == 0 || d.site_b == 0 {
-                enc.model
-                    .add_constraint(LinExpr::var(u) - na - nb, Sense::Ge, -1.0);
+                model.add_constraint(LinExpr::var(u) - na - nb, Sense::Ge, -1.0);
             } else {
-                enc.model
-                    .add_constraint(LinExpr::var(u) - na - nb - enc.mesh_var, Sense::Ge, -2.0);
+                model.add_constraint(LinExpr::var(u) - na - nb - enc.mesh_var, Sense::Ge, -2.0);
             }
-            let mu = enc
-                .model
-                .add_continuous(&format!("mu_{}_{}", d.site_a, d.site_b), 0.0, dp);
-            enc.model
-                .add_constraint(lambda + mu - LinExpr::term(u, dp), Sense::Ge, 0.0);
+            let mu = model.add_continuous(&format!("mu_{}_{}", d.site_a, d.site_b), 0.0, dp);
+            model.add_constraint(lambda + mu - LinExpr::term(u, dp), Sense::Ge, 0.0);
             robust.add_term(mu, 1.0);
         }
-        enc.model.minimize(robust.clone());
+        model.minimize(robust.clone());
         enc.robust_objective = Some(robust);
         enc
     }
@@ -306,17 +298,7 @@ impl MilpEncoding {
         // Fingerprint the new cut so a ladder that re-excludes the same
         // witness — the stalled-ladder bug in robust form — is reported
         // instead of looping forever.
-        let lint_model = self.model.to_lint_model();
-        if let Some(cut_row) = lint_model.rows.last() {
-            if let Some(finding) = self.cut_tracker.observe(cut_row) {
-                self.cut_findings.push(finding);
-            }
-        }
-        debug_assert!(
-            !self.model.lint().has_errors(),
-            "no-good cut introduced a structural error:\n{}",
-            self.model.lint()
-        );
+        self.track_last_cut();
     }
 
     /// Runs the MILP and returns the single decoded optimum and its
@@ -335,7 +317,7 @@ impl MilpEncoding {
     ///
     /// Propagates solver failures.
     pub fn solve_witness(&self) -> Result<Option<(DesignPoint, f64)>, SolveError> {
-        let sol = self.model.solve()?;
+        let sol = self.model.model().solve()?;
         if !sol.is_optimal() {
             return Ok(None);
         }
@@ -361,7 +343,7 @@ impl MilpEncoding {
     /// cross-iteration cut-redundancy findings accumulated by
     /// [`add_power_cut`](MilpEncoding::add_power_cut).
     pub fn lint_report(&self) -> Report {
-        let mut report = self.model.lint();
+        let mut report = self.model.model().lint();
         for finding in &self.cut_findings {
             report.push(finding.clone());
         }
@@ -380,17 +362,28 @@ impl MilpEncoding {
     /// [`hi_milp::pool::enumerate_optima`] provides the cut-based
     /// equivalent.)
     ///
+    /// `P̄*` is the lattice cost of the optimum's `(N, power, routing)`
+    /// cell, not the solver's floating-point objective, so it does not
+    /// depend on the pivots that reached the optimum: a ladder
+    /// reoptimized level by level and one rebuilt from saved cuts produce
+    /// bit-identical cuts.
+    ///
     /// Returns an empty set if the (cut-augmented) model is infeasible.
     ///
     /// # Errors
     ///
     /// Propagates solver failures.
-    pub fn solve_pool(&self) -> Result<(Vec<DesignPoint>, Option<f64>), SolveError> {
+    pub fn solve_pool(&mut self) -> Result<(Vec<DesignPoint>, Option<f64>), SolveError> {
         let sol = self.model.solve()?;
         if !sol.is_optimal() {
             return Ok((Vec::new(), None));
         }
-        let p_star = sol.objective();
+        let p_star = self
+            .z_vars
+            .iter()
+            .find(|&&(_, z)| sol.int_value(z) == 1)
+            .map(|&(cost, _)| cost)
+            .expect("exactly one lattice cell must be selected");
         let witness = self.decode(&sol);
         let n = witness.num_nodes();
         let mut points = Vec::new();
@@ -447,7 +440,7 @@ impl MilpEncoding {
     /// Read-only access to the underlying MILP model (for inspection and
     /// benchmarking).
     pub fn model(&self) -> &Model {
-        &self.model
+        self.model.model()
     }
 }
 
@@ -463,7 +456,7 @@ mod tests {
 
     #[test]
     fn first_pool_is_minimal_star_at_minus20() {
-        let enc = paper_encoding();
+        let mut enc = paper_encoding();
         let (points, p_star) = enc.solve_pool().unwrap();
         assert!(!points.is_empty());
         let app = AppParams::default();
@@ -482,7 +475,7 @@ mod tests {
 
     #[test]
     fn pool_entries_are_distinct_and_constraint_satisfying() {
-        let enc = paper_encoding();
+        let mut enc = paper_encoding();
         let constraints = TopologyConstraints::paper_default();
         let (points, _) = enc.solve_pool().unwrap();
         let set: HashSet<_> = points.iter().collect();
@@ -600,7 +593,7 @@ mod tests {
 
     #[test]
     fn required_site_always_selected() {
-        let enc = paper_encoding();
+        let mut enc = paper_encoding();
         let (points, _) = enc.solve_pool().unwrap();
         for pt in points {
             assert!(pt.placement.contains_index(0), "chest required");

@@ -2,6 +2,9 @@
 //!
 //! * the MILP encoding's pool equals the brute-force set of analytic-cost
 //!   minimizers for random topological constraint sets;
+//! * a cut ladder reoptimized level by level returns, at every level, the
+//!   pool and `P̄*` of an encoding rebuilt from the same cuts and solved
+//!   cold;
 //! * Algorithm 1 returns the exhaustive-search optimum whenever the
 //!   simulated power respects the analytic model (α-soundness premise).
 
@@ -58,7 +61,7 @@ fn milp_pool_equals_brute_force_minimizers() {
     run_cases(40, 0xC0_7E01, |g| {
         let constraints = any_constraints(g);
         let app = AppParams::default();
-        let enc = MilpEncoding::new(&constraints, &app);
+        let mut enc = MilpEncoding::new(&constraints, &app);
         let (pool, p_star) = enc.solve_pool().expect("solves");
         let space = DesignSpace::new(constraints);
         let points = space.points();
@@ -80,6 +83,35 @@ fn milp_pool_equals_brute_force_minimizers() {
             .collect();
         let got: HashSet<DesignPoint> = pool.into_iter().collect();
         assert_eq!(got, want);
+    });
+}
+
+#[test]
+fn warm_cut_ladder_matches_cold_rebuilds() {
+    run_cases(40, 0xC0_7E03, |g| {
+        let constraints = any_constraints(g);
+        let app = AppParams::default();
+        let mut warm = MilpEncoding::new(&constraints, &app);
+        let mut cuts: Vec<f64> = Vec::new();
+        loop {
+            let (pool, p_star) = warm.solve_pool().expect("warm solves");
+            let mut cold = MilpEncoding::new(&constraints, &app);
+            for &cut in &cuts {
+                cold.add_power_cut(cut);
+            }
+            let (cold_pool, cold_p_star) = cold.solve_pool().expect("cold solves");
+            assert_eq!(pool, cold_pool, "pool at level {}", cuts.len());
+            assert_eq!(
+                p_star.map(f64::to_bits),
+                cold_p_star.map(f64::to_bits),
+                "P̄* at level {}",
+                cuts.len()
+            );
+            let Some(p) = p_star else { break };
+            warm.add_power_cut(p);
+            cuts.push(p);
+        }
+        assert!(!cuts.is_empty(), "a non-empty space has a first level");
     });
 }
 

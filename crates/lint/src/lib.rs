@@ -10,7 +10,9 @@
 //!
 //! * [`analyze`] runs the full rule set over a [`LintModel`] — structural
 //!   errors (non-finite numbers, dangling variable references, crossed
-//!   bounds), semantic warnings (provable infeasibility via interval
+//!   bounds; also available alone as [`structural`] and item by item as
+//!   [`check_var`], [`check_objective`] and [`check_row`]), semantic
+//!   warnings (provable infeasibility via interval
 //!   propagation, unused variables, duplicate/dominated rows, big-M
 //!   conditioning) and redundancy infos.
 //! * [`CutTracker`] watches the cuts an Algorithm-1 style loop adds across
@@ -95,6 +97,7 @@ mod rules;
 mod schedule;
 mod serve;
 mod space;
+mod structure;
 mod supervision;
 
 pub use concurrency::{lint_exec, lint_model_locks, ExecSpec, ModelLockSpec};
@@ -113,4 +116,5 @@ pub use serve::{
     ServerSpec, COMPACT_THRESHOLD_CEILING,
 };
 pub use space::{lint_space, SpaceDim};
+pub use structure::{check_objective, check_row, check_var, structural, ModelNames};
 pub use supervision::{lint_supervision, SupervisionSpec};

@@ -5,6 +5,7 @@ use std::collections::HashMap;
 use crate::model::{normalize, LintModel, NormKind, NormRow, RowSense, TOL, ZERO_TOL};
 use crate::propagate::propagate;
 use crate::report::{Finding, Report, RuleId, Span};
+use crate::structure::{row_span, structural_pass, var_span};
 
 /// Coefficient-magnitude ratio within one row above which conditioning is
 /// flagged (classic big-M smell).
@@ -12,20 +13,6 @@ const CONDITION_RATIO: f64 = 1e6;
 
 /// Propagation rounds run by [`analyze`].
 const PROPAGATION_ROUNDS: usize = 8;
-
-fn var_span(model: &LintModel, index: usize) -> Span {
-    Span::Variable {
-        index,
-        name: model.vars[index].name.clone(),
-    }
-}
-
-fn row_span(model: &LintModel, index: usize) -> Span {
-    Span::Row {
-        index,
-        name: model.rows[index].name.clone(),
-    }
-}
 
 /// Runs every static rule against `model` and returns the combined report.
 ///
@@ -48,78 +35,13 @@ fn row_span(model: &LintModel, index: usize) -> Span {
 /// assert!(report.has_rule(RuleId::BoundInfeasible)); // 2 binaries can't sum to 3
 /// ```
 pub fn analyze(model: &LintModel) -> Report {
-    let mut report = Report::new();
+    // First pass: the structural (error-severity) rules.
+    let (mut report, rows_ok) = structural_pass(model);
     let n = model.vars.len();
 
-    // --- variable bounds ---------------------------------------------------
-    for (i, v) in model.vars.iter().enumerate() {
-        if v.lower.is_nan()
-            || v.upper.is_nan()
-            || v.lower == f64::INFINITY
-            || v.upper == f64::NEG_INFINITY
-        {
-            report.push(Finding::new(
-                RuleId::NonFiniteBound,
-                var_span(model, i),
-                format!("bounds [{}, {}] are not usable", v.lower, v.upper),
-            ));
-            continue; // crossed-bound comparison is meaningless on NaN
-        }
-        if v.lower > v.upper + TOL {
-            report.push(Finding::new(
-                RuleId::CrossedBounds,
-                var_span(model, i),
-                format!("lower bound {} exceeds upper bound {}", v.lower, v.upper),
-            ));
-        }
-    }
-
-    // --- objective ---------------------------------------------------------
-    for &(v, c) in &model.objective {
-        if v >= n {
-            report.push(Finding::new(
-                RuleId::DanglingVariable,
-                Span::Model,
-                format!("objective references variable #{v} but the model has {n}"),
-            ));
-        } else if !c.is_finite() {
-            report.push(Finding::new(
-                RuleId::NonFiniteCoefficient,
-                var_span(model, v),
-                format!("objective coefficient {c} is not finite"),
-            ));
-        }
-    }
-
-    // --- per-row structure -------------------------------------------------
+    // --- per-row shape -----------------------------------------------------
     for (i, row) in model.rows.iter().enumerate() {
-        let mut structurally_ok = true;
-        for &(v, c) in &row.terms {
-            if v >= n {
-                report.push(Finding::new(
-                    RuleId::DanglingVariable,
-                    row_span(model, i),
-                    format!("references variable #{v} but the model has {n}"),
-                ));
-                structurally_ok = false;
-            } else if !c.is_finite() {
-                report.push(Finding::new(
-                    RuleId::NonFiniteCoefficient,
-                    row_span(model, i),
-                    format!("coefficient {c} on `{}` is not finite", model.vars[v].name),
-                ));
-                structurally_ok = false;
-            }
-        }
-        if !row.rhs.is_finite() {
-            report.push(Finding::new(
-                RuleId::NonFiniteCoefficient,
-                row_span(model, i),
-                format!("right-hand side {} is not finite", row.rhs),
-            ));
-            structurally_ok = false;
-        }
-        if !structurally_ok {
+        if !rows_ok[i] {
             continue;
         }
 

@@ -13,13 +13,16 @@
 //!   [`LinExpr`] linear expressions (with operator overloading), and
 //!   `<=`/`==`/`>=` constraints.
 //! * [`simplex`] — a dense two-phase primal simplex for the LP relaxation,
-//!   with Bland's anti-cycling rule.
+//!   with Bland's anti-cycling rule, and a dual simplex that reoptimizes a
+//!   kept tableau after rows are appended or bounds tightened.
 //! * [`branch`] — best-first branch & bound over the integer variables.
 //! * [`pool`] — enumeration of *all* optimal solutions over the binary
 //!   variables via no-good cuts, mirroring the "set of candidate solutions"
 //!   returned by line 3 of Algorithm 1 in the paper.
 //! * [`presolve`] — activity-based bound tightening, run automatically
 //!   before branch & bound.
+//! * [`WarmModel`] — a model that keeps its root relaxation solved across
+//!   edits, for loops that tighten one model and re-solve it.
 //! * [`lp_format`] — CPLEX-LP-format export for debugging and interop.
 //!
 //! # Example
@@ -55,11 +58,13 @@ pub mod pool;
 pub mod presolve;
 pub mod simplex;
 mod solution;
+mod warm;
 
 pub use error::SolveError;
 pub use expr::{LinExpr, Term};
 pub use model::{Constraint, Model, Objective, Sense, VarType, Variable};
 pub use solution::{Solution, SolveStatus};
+pub use warm::WarmModel;
 
 /// Identifier of a decision variable within a [`Model`].
 ///

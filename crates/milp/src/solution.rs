@@ -22,7 +22,6 @@ pub struct Solution {
     status: SolveStatus,
     values: Vec<f64>,
     objective: Option<f64>,
-    lint: Vec<hi_lint::Finding>,
 }
 
 impl Solution {
@@ -31,7 +30,6 @@ impl Solution {
             status: SolveStatus::Optimal,
             values,
             objective: Some(objective),
-            lint: Vec::new(),
         }
     }
 
@@ -40,7 +38,6 @@ impl Solution {
             status: SolveStatus::Infeasible,
             values: Vec::new(),
             objective: None,
-            lint: Vec::new(),
         }
     }
 
@@ -49,12 +46,7 @@ impl Solution {
             status: SolveStatus::Unbounded,
             values: Vec::new(),
             objective: None,
-            lint: Vec::new(),
         }
-    }
-
-    pub(crate) fn set_lint_findings(&mut self, findings: Vec<hi_lint::Finding>) {
-        self.lint = findings;
     }
 
     /// The outcome classification.
@@ -98,13 +90,6 @@ impl Solution {
     /// The dense assignment (index = variable insertion order).
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Warning/info findings the pre-solve static analyzer collected for
-    /// the model this solution came from (error findings abort the solve,
-    /// so they never appear here).
-    pub fn lint_findings(&self) -> &[hi_lint::Finding] {
-        &self.lint
     }
 }
 
