@@ -26,6 +26,10 @@ cargo test -q
 # build the benchmark measures — including the golden outcome and
 # budget-trip bits and the dual simplex reoptimization properties.
 cargo test --release -q -p hi-des -p hi-net -p hi-milp
+# The golden MILP outcomes on the optimized build too: its floating-point
+# code generation is the one whose objective bits and pivot counts the
+# benchmark's runs depend on.
+cargo test --release -q -p hi-core --test golden_milp
 
 # Concurrency-verification gates. The hi-check mutant self-test (also in
 # the workspace run above, kept explicit here as the named gate): every
