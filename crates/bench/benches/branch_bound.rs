@@ -1,9 +1,10 @@
 //! Microbenchmark B2: exact MILP solves — knapsacks and the paper's
 //! relaxed problem `P̃` (the model Algorithm 1 queries every iteration),
-//! including the cut ladder that drives the whole exploration.
+//! including the cut ladder that drives the whole exploration, and one
+//! witness query of the Γ-robust engine.
 
 use hi_bench::micro::Runner;
-use hi_core::{MilpEncoding, TopologyConstraints};
+use hi_core::{parse_fault_suite, MilpEncoding, RobustnessSpec, TopologyConstraints};
 use hi_milp::{LinExpr, Model, Sense};
 use hi_net::AppParams;
 
@@ -54,5 +55,23 @@ fn main() {
             }
         }
         levels
+    });
+    // One cold witness query of the Γ-robust engine at Γ = 2 on the demo
+    // fault suite, encoding built inside the timed closure as above.
+    let suite = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/demo.suite"
+    ));
+    let (suite, _) = parse_fault_suite(suite).expect("demo suite parses");
+    let spec = RobustnessSpec::from_suite(&suite, 2);
+    runner.bench("robust_demo_witness", || {
+        MilpEncoding::new_robust(
+            &TopologyConstraints::paper_default(),
+            &AppParams::default(),
+            &spec,
+        )
+        .solve_witness()
+        .expect("solves")
+        .map(|(_, p)| p)
     });
 }

@@ -1,7 +1,8 @@
 //! Depth-first branch & bound over the LP relaxation.
 //!
 //! Each node carries tightened bounds for the integer variables; the LP
-//! relaxation is solved with [`simplex::solve_lp`] and fractional integer
+//! relaxation is solved cold with [`simplex::solve_lp`], every node's
+//! tableau built in the row buffers of the one before, and fractional integer
 //! variables are branched on (most-fractional rule, index tie-break).
 //! The search dives depth-first, exploring the child nearest the LP value
 //! first — this finds incumbents quickly, and nodes whose relaxation bound
@@ -61,6 +62,7 @@ pub fn solve(model: &Model) -> Result<Solution, SolveError> {
 
     let mut incumbent: Option<(f64, Vec<f64>)> = None; // (norm objective, values)
     let mut scratch = model.clone();
+    let mut rows = Vec::new();
     let mut nodes = 0usize;
     let mut fathomed = 0u64;
     let mut root_unbounded = false;
@@ -80,7 +82,7 @@ pub fn solve(model: &Model) -> Result<Solution, SolveError> {
         for (i, &(lb, ub)) in node.bounds.iter().enumerate() {
             scratch.set_bounds(VarId(i), lb, ub);
         }
-        let lp = simplex::solve_lp(&scratch)?;
+        let lp = simplex::solve_lp_reusing(&scratch, &mut rows)?;
         match lp.status {
             LpStatus::Infeasible => {
                 fathomed += 1;
