@@ -30,6 +30,15 @@ cargo test --release -q -p hi-des -p hi-net -p hi-milp
 # code generation is the one whose objective bits and pivot counts the
 # benchmark's runs depend on.
 cargo test --release -q -p hi-core --test golden_milp
+# The benchmark's package builds against the workspace's public API, and
+# its `robust` workload at seed 1 checks every answer against
+# `perfbench/reference/` byte for byte: an API break or a moved output
+# bit fails here, not first in a benchmark run. perfbench refuses
+# `--seconds 0`; a tiny budget runs its minimum of three repetitions.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload robust --seed 1 --seconds 0.001 --trace 0 2> /dev/null \
+    | tail -n 1 | grep -q '"correct": true'
 
 # Concurrency-verification gates. The hi-check mutant self-test (also in
 # the workspace run above, kept explicit here as the named gate): every

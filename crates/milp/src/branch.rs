@@ -1,7 +1,7 @@
 //! Depth-first branch & bound over the LP relaxation.
 //!
 //! Each node carries tightened bounds for the integer variables; the LP
-//! relaxation is solved cold with [`simplex::solve_lp`], every node's
+//! relaxation is solved cold with `simplex::solve_lp_reusing`, every node's
 //! tableau built in the row buffers of the one before, and fractional integer
 //! variables are branched on (most-fractional rule, index tie-break).
 //! The search dives depth-first, exploring the child nearest the LP value

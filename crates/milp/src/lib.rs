@@ -5,7 +5,9 @@
 //! Network"* (DAC 2017). The paper drives its design-space exploration with
 //! IBM CPLEX through PuLP; this crate replaces that proprietary dependency
 //! with a from-scratch exact solver sized for the paper's problem class:
-//! small, mostly-binary MILPs with a few dozen variables and constraints.
+//! small, mostly-binary MILPs of up to a few hundred variables and
+//! constraints (the Γ-robust counterpart's tableau, the largest, has 301
+//! rows and 426 columns).
 //!
 //! # Components
 //!
@@ -15,7 +17,8 @@
 //! * [`simplex`] — a dense two-phase primal simplex for the LP relaxation,
 //!   with Bland's anti-cycling rule, and a dual simplex that reoptimizes a
 //!   kept tableau after rows are appended or bounds tightened.
-//! * [`branch`] — best-first branch & bound over the integer variables.
+//! * [`branch`] — depth-first branch & bound over the integer variables,
+//!   diving into the child nearest the LP value first.
 //! * [`pool`] — enumeration of *all* optimal solutions over the binary
 //!   variables via no-good cuts, mirroring the "set of candidate solutions"
 //!   returned by line 3 of Algorithm 1 in the paper.

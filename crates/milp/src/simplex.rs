@@ -18,6 +18,13 @@
 //! nonzero. A skipped term is `v -= f * 0.0`, which can change only the
 //! sign of a zero, and no comparison in the solver tells `+0.0` from
 //! `-0.0`: pivots and results are those of the dense update.
+//!
+//! Pricing is kept on the same terms. Each run of the primal or dual
+//! simplex computes the reduced costs in full once; after a pivot only
+//! the columns where the pivot row is nonzero are recomputed, by the
+//! same expression. Any other column's sum gains or loses only a
+//! `c * 0.0` term, from the pivot row joining or leaving the rows whose
+//! basic column has a cost.
 
 use crate::{LinExpr, Model, Objective, Sense, SolveError, VarId, TOL};
 
@@ -431,8 +438,8 @@ struct Tableau {
     pivots: u64,
     /// Slack/surplus column of each input row (`None` for equalities).
     slacks: Vec<Option<usize>>,
-    /// Reduced costs of the current iteration, reused across iterations.
-    reduced: Vec<f64>,
+    /// Reduced costs under the running phase's costs, kept across pivots.
+    pricing: Pricing,
     /// The pivot row's nonzero `(column, value)` entries after scaling,
     /// rhs included, reused across pivots.
     nonzeros: Vec<(usize, f64)>,
@@ -536,7 +543,7 @@ impl Tableau {
             costs,
             pivots: 0,
             slacks,
-            reduced: Vec::with_capacity(ncols),
+            pricing: Pricing::default(),
             nonzeros: Vec::new(),
         })
     }
@@ -600,7 +607,10 @@ impl Tableau {
         let rhs = self.ncols;
         let max_iters = 50_000 + 200 * (self.ncols + self.t.len());
         let bland_after = 200 + 5 * (self.ncols + self.t.len());
+        self.pricing.price(&self.t, &self.basis, &self.costs);
         for iter in 0..max_iters {
+            #[cfg(any(test, debug_assertions))]
+            self.check_pricing(&self.costs);
             let infeasible = (0..self.t.len()).filter(|&i| self.t[i][rhs] < -1e-9);
             let leaving = if iter < bland_after {
                 infeasible.min_by(|&a, &b| self.t[a][rhs].total_cmp(&self.t[b][rhs]))
@@ -610,9 +620,12 @@ impl Tableau {
             let Some(row) = leaving else {
                 return self.phase2();
             };
-            reduced_costs(&mut self.reduced, &self.t, &self.basis, &self.costs);
             let mut entering: Option<(usize, f64)> = None;
-            for (j, (&a, &d)) in self.t[row][..rhs].iter().zip(&self.reduced).enumerate() {
+            for (j, (&a, &d)) in self.t[row][..rhs]
+                .iter()
+                .zip(&self.pricing.reduced)
+                .enumerate()
+            {
                 if a < -1e-9 && !self.is_art[j] {
                     let ratio = d.max(0.0) / -a;
                     if entering.is_none_or(|(_, best)| ratio < best - 1e-12) {
@@ -626,6 +639,8 @@ impl Tableau {
                 return Ok(TableauOutcome::Infeasible);
             };
             self.pivot(row, col);
+            self.pricing
+                .repriced(&self.t, &self.basis, &self.costs, row, &self.nonzeros);
         }
         Err(SolveError::IterationLimit)
     }
@@ -720,9 +735,11 @@ impl Tableau {
         // Dantzig pricing converges fast; swap to Bland's rule after a
         // stall budget to guarantee termination on degenerate instances.
         let bland_after = 200 + 5 * (self.ncols + self.t.len());
+        self.pricing.price(&self.t, &self.basis, costs);
         for iter in 0..max_iters {
-            reduced_costs(&mut self.reduced, &self.t, &self.basis, costs);
-            let reduced = &self.reduced;
+            #[cfg(any(test, debug_assertions))]
+            self.check_pricing(costs);
+            let reduced = &self.pricing.reduced;
             let is_art = &self.is_art;
             let entering = if iter < bland_after {
                 // Dantzig: most negative reduced cost (index tie-break).
@@ -773,6 +790,8 @@ impl Tableau {
                 return Ok(RunOutcome::Unbounded);
             };
             self.pivot(row, col);
+            self.pricing
+                .repriced(&self.t, &self.basis, costs, row, &self.nonzeros);
         }
         Err(SolveError::IterationLimit)
     }
@@ -827,22 +846,91 @@ impl Tableau {
             );
         }
     }
+
+    /// Invariant of the kept pricing, checked at every iteration of the
+    /// primal and dual loops (after their full pass, then after every
+    /// pivot): the reduced costs equal a full pass's under `costs` (`==`,
+    /// so a zero's sign may differ) and the costed rows are exactly the
+    /// rows whose basic column has a nonzero cost, ascending. It costs a
+    /// full pass per iteration, as pricing did before the costs were
+    /// kept, so it runs only in debug builds and tests.
+    #[cfg(any(test, debug_assertions))]
+    fn check_pricing(&self, costs: &[f64]) {
+        let mut full = Pricing::default();
+        full.price(&self.t, &self.basis, costs);
+        assert!(
+            self.pricing.reduced == full.reduced,
+            "kept reduced costs {:?} differ from a full pass {:?}",
+            self.pricing.reduced,
+            full.reduced
+        );
+        assert_eq!(self.pricing.costed, full.costed, "costed rows");
+    }
 }
 
-/// `reduced[j] = c_j - c_B * B^-1 A_j` computed directly from the
-/// tableau `t` with basis `basis`, into `reduced`.
+/// The reduced costs `reduced[j] = c_j - c_B * B^-1 A_j` of a tableau
+/// under one cost vector, kept up to date across pivots.
 ///
-/// This one row operation stays dense: it reads every basic row with a
-/// nonzero cost, and a branch per entry costs more than the
-/// multiply-subtract it would skip.
-fn reduced_costs(reduced: &mut Vec<f64>, t: &[Vec<f64>], basis: &[usize], costs: &[f64]) {
-    reduced.clear();
-    reduced.extend_from_slice(costs);
-    for (r, &b) in t.iter().zip(basis) {
-        let cb = costs[b];
-        if cb != 0.0 {
-            for (d, &tij) in reduced.iter_mut().zip(&r[..costs.len()]) {
+/// [`price`](Pricing::price) computes them in full; each run of the
+/// primal or dual simplex starts with it, since the costs change between
+/// phases and model edits change the tableau. After a pivot,
+/// [`repriced`](Pricing::repriced) recomputes only the columns where the
+/// pivot row is nonzero, with the same expression: no entry of any other
+/// column changed, and its sum differs only by a `c * ±0.0` term from the
+/// pivot row joining or leaving the costed rows, which can change only
+/// the sign of a zero.
+#[derive(Debug, Clone, Default)]
+struct Pricing {
+    /// `c_j - c_B * B^-1 A_j` per column.
+    reduced: Vec<f64>,
+    /// The rows whose basic column has a nonzero cost, ascending.
+    costed: Vec<usize>,
+}
+
+impl Pricing {
+    /// Full pass over tableau `t` with basis `basis`: subtracts, from
+    /// each column's cost, each costed row's multiple of its entry, rows
+    /// in ascending order.
+    fn price(&mut self, t: &[Vec<f64>], basis: &[usize], costs: &[f64]) {
+        self.costed.clear();
+        self.costed
+            .extend((0..t.len()).filter(|&i| costs[basis[i]] != 0.0));
+        self.reduced.clear();
+        self.reduced.extend_from_slice(costs);
+        for &i in &self.costed {
+            let cb = costs[basis[i]];
+            for (d, &tij) in self.reduced.iter_mut().zip(&t[i][..costs.len()]) {
                 *d -= cb * tij;
+            }
+        }
+    }
+
+    /// Update after a pivot on `row`, whose scaled nonzero entries are
+    /// `nonzeros` (ascending columns, the rhs last): each of those
+    /// columns gets exactly the sum [`price`](Pricing::price) would give.
+    fn repriced(
+        &mut self,
+        t: &[Vec<f64>],
+        basis: &[usize],
+        costs: &[f64],
+        row: usize,
+        nonzeros: &[(usize, f64)],
+    ) {
+        match (self.costed.binary_search(&row), costs[basis[row]] != 0.0) {
+            (Err(at), true) => self.costed.insert(at, row),
+            (Ok(at), false) => {
+                self.costed.remove(at);
+            }
+            _ => {}
+        }
+        let cols = &nonzeros[..nonzeros.partition_point(|&(j, _)| j < costs.len())];
+        for &(j, _) in cols {
+            self.reduced[j] = costs[j];
+        }
+        for &i in &self.costed {
+            let (cb, r) = (costs[basis[i]], t[i].as_slice());
+            for &(j, _) in cols {
+                self.reduced[j] -= cb * r[j];
             }
         }
     }
@@ -1303,9 +1391,13 @@ mod tests {
                 assert!(x == y, "{what}: t[{i}][{j}] = {x:e}, dense {y:e}");
             }
         }
-        let mut reduced = Vec::new();
-        reduced_costs(&mut reduced, &sparse.t, &sparse.basis, &sparse.costs);
-        assert_eq!(reduced, dense::reduced_costs(dense, &dense.costs), "{what}");
+        let mut pricing = Pricing::default();
+        pricing.price(&sparse.t, &sparse.basis, &sparse.costs);
+        assert_eq!(
+            pricing.reduced,
+            dense::reduced_costs(dense, &dense.costs),
+            "{what}"
+        );
     }
 
     #[test]
@@ -1394,5 +1486,52 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// Cold solves (phase 1 with artificials, their purge, phase 2) and
+    /// warm edits (appended rows and shifted right-hand sides, then the
+    /// dual simplex) of random LPs. In test builds the primal and dual
+    /// loops run `Tableau::check_pricing` at every iteration, so after
+    /// every pivot, which fails if the kept reduced costs differ from a
+    /// full pass or the costed rows from their filter; this drives both
+    /// loops and counts that they pivoted.
+    #[test]
+    fn kept_pricing_matches_a_full_pass_after_every_pivot() {
+        let (mut cold, mut warm) = (0, 0);
+        run_cases(1000, 0x9121_C1E5, |g| {
+            let m = any_lp(g);
+            let Some((_, mut tb, outcome)) = cold_solve(&m, &mut Vec::new()).unwrap() else {
+                return;
+            };
+            cold += tb.pivots;
+            if !matches!(outcome, TableauOutcome::Optimal { .. }) {
+                return;
+            }
+            for _ in 0..g.usize_in(1..9) {
+                if g.bool() {
+                    let coeffs: Vec<f64> = (0..tb.nstruct)
+                        .map(|_| round2(g.f64_in(-4.0, 4.0)))
+                        .collect();
+                    tb.append_le(&coeffs, round2(g.f64_in(-4.0, 2.0)));
+                } else {
+                    let shiftable: Vec<usize> = (0..tb.slacks.len())
+                        .filter(|&r| tb.slacks[r].is_some())
+                        .collect();
+                    if let Some(&row) = shiftable.get(g.usize_in(0..shiftable.len().max(1))) {
+                        tb.shift_rhs(row, round2(g.f64_in(-3.0, 3.0)));
+                    }
+                }
+                let before = tb.pivots;
+                let outcome = tb.dual_optimize();
+                warm += tb.pivots - before;
+                if !matches!(outcome, Ok(TableauOutcome::Optimal { .. })) {
+                    return;
+                }
+            }
+        });
+        assert!(
+            cold > 1000 && warm > 100,
+            "{cold} cold and {warm} warm pivots"
+        );
     }
 }
