@@ -455,6 +455,18 @@ grep -v '^simulations ' /tmp/hi_ci_front_hot.txt > /tmp/hi_ci_front_hot_rows.txt
 grep -v '^simulations ' /tmp/hi_ci_front_warm.txt > /tmp/hi_ci_front_warm_rows.txt
 diff /tmp/hi_ci_front_hot_rows.txt /tmp/hi_ci_front_warm_rows.txt
 
+# Sixth: failed evaluations degrade every engine alike. Under a
+# 200-event budget each replication trips its logical deadline, so every
+# point of an exhaustive sweep fails; the job must end `done` with the
+# failures counted (as Algorithm 1 counts them) and the daemon must
+# drain and exit 0 instead of dying on the first failed point.
+rm -rf /tmp/hi_ci_serve_errors
+printf 'SUBMIT 5\nprofile every-point-fails\ntsim 2\nruns 1\npdrmin 0.9\nengine exhaustive\nWAIT 1\nRESULT 1\nSHUTDOWN\n' \
+    | target/release/hi-opt serve --state /tmp/hi_ci_serve_errors --stdio --threads 1 \
+        --max-events 200 > /tmp/hi_ci_serve_errors.txt 2> /dev/null
+grep -q '^OK status 1 done$' /tmp/hi_ci_serve_errors.txt
+grep '^eval_errors ' /tmp/hi_ci_serve_errors.txt | awk '{ok = $2 > 0} END {exit !ok}'
+
 # And the standalone CLI's memoized sweep: a cold `tradeoff --archive`
 # persists its front; the warm rerun answers the identical front from
 # the file with zero simulations.

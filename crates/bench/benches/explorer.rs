@@ -6,8 +6,8 @@
 use hi_bench::micro::Runner;
 use hi_core::power::analytic_power_mw;
 use hi_core::{
-    exhaustive_search, explore, simulated_annealing, DesignPoint, Evaluation, FnEvaluator, Problem,
-    RouteChoice, SaParams,
+    exhaustive_search, explore, simulated_annealing, DesignPoint, Evaluation, ExecContext,
+    ExploreOptions, FnEvaluator, Problem, RouteChoice, SaParams,
 };
 use hi_net::{AppParams, TxPower};
 
@@ -35,19 +35,29 @@ fn oracle(point: &DesignPoint) -> Evaluation {
 fn main() {
     let runner = Runner::new("explorer_oracle");
     let problem = Problem::paper_default(0.90);
+    let exec = ExecContext::sequential();
     runner.bench("algorithm1_pdr90", || {
-        let mut ev = FnEvaluator::new(oracle);
-        explore(&problem, &mut ev).expect("explore").simulations
+        let ev = FnEvaluator::new(oracle);
+        explore(
+            &problem,
+            &ev,
+            ExploreOptions::default(),
+            &exec,
+            None,
+            &mut |_| (),
+        )
+        .expect("explore")
+        .simulations
     });
     runner.bench("exhaustive_pdr90", || {
-        let mut ev = FnEvaluator::new(oracle);
-        exhaustive_search(&problem, &mut ev).simulations
+        let ev = FnEvaluator::new(oracle);
+        exhaustive_search(&problem, &ev, &exec).simulations
     });
     runner.bench("annealing_pdr90_300steps", || {
-        let mut ev = FnEvaluator::new(oracle);
+        let ev = FnEvaluator::new(oracle);
         simulated_annealing(
             &problem,
-            &mut ev,
+            &ev,
             SaParams {
                 steps: 300,
                 ..Default::default()

@@ -21,9 +21,9 @@ use hi_bench::micro::Runner;
 use hi_bench::report::{BenchReport, EngineRun};
 use hi_bench::{parallel_sweep, ExpOptions};
 use hi_core::{
-    explore_par, ilp_heuristic_search, parse_fault_suite, robust_milp_search, DesignSpace,
-    ExecContext, ExploreOptions, Problem, RobustEvaluator, RobustMode, RobustnessSpec,
-    SharedSimEvaluator, SimProtocol,
+    explore, ilp_heuristic_search, parse_fault_suite, robust_milp_search, DesignSpace, ExecContext,
+    ExploreOptions, Problem, RobustEvaluator, RobustMode, RobustnessSpec, SharedSimEvaluator,
+    SimProtocol,
 };
 use hi_des::SimDuration;
 use hi_trace::{wellknown as wk, Collector};
@@ -43,7 +43,7 @@ fn instrumented(
         .expect("a metrics-only collector has a registry");
     wk::register_all(registry);
     let exec = ExecContext::new(threads).with_collector(collector.clone());
-    let evaluator = opts.shared_evaluator();
+    let evaluator = opts.evaluator();
     let t0 = Instant::now();
     {
         let _main = collector.install(0, 0);
@@ -111,8 +111,9 @@ fn main() {
             t,
             &opts(t),
             |exec, evaluator| {
-                for slot in exec.eval_points(evaluator, &points) {
-                    slot.expect("sweep is never cancelled");
+                for slot in exec.try_eval_points(evaluator, &points) {
+                    slot.expect("sweep is never cancelled")
+                        .expect("evaluation succeeds");
                 }
             },
         ));
@@ -121,8 +122,15 @@ fn main() {
             t,
             &opts(t),
             |exec, evaluator| {
-                explore_par(&problem, evaluator, ExploreOptions::default(), exec)
-                    .expect("exploration succeeds");
+                explore(
+                    &problem,
+                    evaluator,
+                    ExploreOptions::default(),
+                    exec,
+                    None,
+                    &mut |_| (),
+                )
+                .expect("exploration succeeds");
             },
         ));
         if threads == 1 {
@@ -262,10 +270,11 @@ profile dave\ntsim 2\nruns 1\nseed 7\npdrmin 0.9\ngeometry 1.15\ntraffic 25 64\n
     // simulations — so the rows pin down the overhead a FRONT query (or
     // a warm `tradeoff --archive`) adds on top of the evaluation cache.
     {
-        let evaluator = opts(1).shared_evaluator();
+        let evaluator = opts(1).evaluator();
         let exec = ExecContext::new(1);
-        for slot in exec.eval_points(&evaluator, &points) {
-            slot.expect("sweep is never cancelled");
+        for slot in exec.try_eval_points(&evaluator, &points) {
+            slot.expect("sweep is never cancelled")
+                .expect("evaluation succeeds");
         }
         let evals = evaluator.cached_ok();
         let to_point =

@@ -15,7 +15,7 @@
 
 use hi_bench::ExpOptions;
 use hi_channel::{BodyLocation, ChannelParams};
-use hi_core::{explore_with_options, ExploreOptions, Problem};
+use hi_core::{explore, ExecContext, ExploreOptions, Problem};
 use hi_net::{simulate_averaged, FloodMode, MacKind, NetworkConfig, Routing, TxPower};
 
 fn main() {
@@ -75,14 +75,17 @@ fn alpha_correction(opts: &ExpOptions) {
         let problem = Problem::paper_default(pdr_min);
         let mut with_power = None;
         for (label, alpha) in [("on", true), ("off", false)] {
-            let mut ev = opts.evaluator();
-            let out = explore_with_options(
+            let ev = opts.evaluator();
+            let out = explore(
                 &problem,
-                &mut ev,
+                &ev,
                 ExploreOptions {
                     alpha_correction: alpha,
                     ..ExploreOptions::default()
                 },
+                &ExecContext::sequential(),
+                None,
+                &mut |_| (),
             )
             .expect("explore");
             let power = out.best.as_ref().map(|(_, e)| e.power_mw);

@@ -8,7 +8,7 @@
 //! ```
 
 use hi_bench::{optima_per_floor, parallel_sweep, ExpOptions};
-use hi_core::{explore, DesignSpace, Problem};
+use hi_core::{explore, DesignSpace, ExecContext, ExploreOptions, Problem};
 use std::time::Instant;
 
 fn main() {
@@ -33,9 +33,17 @@ fn main() {
     let mut reductions = Vec::new();
     for (&floor, (_, reference_best)) in floors.iter().zip(&reference) {
         let problem = Problem::paper_default(floor);
-        let mut evaluator = opts.evaluator();
+        let evaluator = opts.evaluator();
         let t0 = Instant::now();
-        let outcome = explore(&problem, &mut evaluator).expect("explore");
+        let outcome = explore(
+            &problem,
+            &evaluator,
+            ExploreOptions::default(),
+            &ExecContext::sequential(),
+            None,
+            &mut |_| (),
+        )
+        .expect("explore");
         let elapsed = t0.elapsed();
         let same = match (&outcome.best, reference_best) {
             (Some((_, a)), Some((_, b))) => (a.power_mw - b.power_mw).abs() < 1e-9,

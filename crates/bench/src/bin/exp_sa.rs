@@ -11,7 +11,7 @@
 //! ```
 
 use hi_bench::ExpOptions;
-use hi_core::{explore, simulated_annealing, Problem, SaParams};
+use hi_core::{explore, simulated_annealing, ExecContext, ExploreOptions, Problem, SaParams};
 use std::time::Instant;
 
 fn main() {
@@ -33,14 +33,24 @@ fn main() {
     for &floor in &floors {
         let problem = Problem::paper_default(floor);
 
-        let mut a1_ev = opts.evaluator();
+        // Both methods run on one thread, so wall-clock compares like
+        // with like.
+        let a1_ev = opts.evaluator();
         let t0 = Instant::now();
-        let a1 = explore(&problem, &mut a1_ev).expect("explore");
+        let a1 = explore(
+            &problem,
+            &a1_ev,
+            ExploreOptions::default(),
+            &ExecContext::sequential(),
+            None,
+            &mut |_| (),
+        )
+        .expect("explore");
         let a1_time = t0.elapsed().as_secs_f64();
 
-        let mut sa_ev = opts.evaluator();
+        let sa_ev = opts.evaluator();
         let t0 = Instant::now();
-        let sa = simulated_annealing(&problem, &mut sa_ev, sa_params, opts.seed ^ 0x5A);
+        let sa = simulated_annealing(&problem, &sa_ev, sa_params, opts.seed ^ 0x5A);
         let sa_time = t0.elapsed().as_secs_f64();
 
         let same = match (&a1.best, &sa.best) {

@@ -4,16 +4,15 @@
 //! Every binary regenerates one artifact of the paper (see the experiment
 //! index in `DESIGN.md`); this crate keeps them small and consistent.
 //! All simulation work funnels through one [`SimProtocol`] constructor
-//! ([`ExpOptions::protocol`]) so the sequential evaluator, the shared
-//! cached evaluator and every worker thread are guaranteed to agree on
-//! `t_sim`, `runs` and seeding.
+//! ([`ExpOptions::protocol`]) so every evaluator and every worker thread
+//! are guaranteed to agree on `t_sim`, `runs` and seeding.
 
 #![forbid(unsafe_code)]
 
 pub mod micro;
 pub mod report;
 
-use hi_core::{DesignPoint, Evaluation, ExecContext, SimEvaluator, SimProtocol};
+use hi_core::{DesignPoint, Evaluation, ExecContext, SharedSimEvaluator, SimProtocol};
 use hi_des::SimDuration;
 
 /// Common command-line options of the experiment binaries.
@@ -100,19 +99,14 @@ impl ExpOptions {
     }
 
     /// The simulation protocol these options describe. Every evaluator a
-    /// binary constructs — sequential or shared — must come from this one
-    /// value so `--tsim`/`--runs`/`--seed` cannot drift between workers.
+    /// binary constructs must come from this one value so
+    /// `--tsim`/`--runs`/`--seed` cannot drift between workers.
     pub fn protocol(&self) -> SimProtocol {
         SimProtocol::new(self.t_sim, self.runs, self.seed)
     }
 
     /// A fresh memoizing simulator evaluator under these options.
-    pub fn evaluator(&self) -> SimEvaluator {
-        self.protocol().evaluator()
-    }
-
-    /// A fresh cache-backed evaluator for pool-based sweeps.
-    pub fn shared_evaluator(&self) -> hi_core::SharedSimEvaluator {
+    pub fn evaluator(&self) -> SharedSimEvaluator {
         self.protocol().shared_evaluator()
     }
 
@@ -127,14 +121,25 @@ impl ExpOptions {
 ///
 /// Results are returned in the input order regardless of scheduling, so
 /// sweeps are reproducible: the per-point seed derivation in
-/// [`SimProtocol`] makes the measurements bit-identical to a sequential
-/// sweep for any `--threads` value.
+/// [`SimProtocol`] makes the measurements bit-identical for any
+/// `--threads` value.
+///
+/// # Panics
+///
+/// Panics if a point's evaluation fails: a sweep feeding a figure has no
+/// meaningful way to leave a point out.
 pub fn parallel_sweep(points: &[DesignPoint], opts: &ExpOptions) -> Vec<Evaluation> {
     let exec = opts.exec_context();
-    let evaluator = opts.shared_evaluator();
-    exec.eval_points(&evaluator, points)
+    let evaluator = opts.evaluator();
+    exec.try_eval_points(&evaluator, points)
         .into_iter()
-        .map(|e| e.expect("sweep is never cancelled"))
+        .zip(points)
+        .map(
+            |(slot, point)| match slot.expect("sweep is never cancelled") {
+                Ok(eval) => eval,
+                Err(e) => panic!("evaluation of {point} failed: {e}"),
+            },
+        )
         .collect()
 }
 
@@ -191,7 +196,7 @@ pub fn pareto_front(sweep: &[(DesignPoint, Evaluation)]) -> Vec<(DesignPoint, Ev
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hi_core::{DesignSpace, Evaluator};
+    use hi_core::DesignSpace;
 
     #[test]
     fn parallel_sweep_matches_sequential() {
@@ -207,8 +212,8 @@ mod tests {
             .take(12)
             .collect();
         let par = parallel_sweep(&points, &opts);
-        let mut evaluator = opts.evaluator();
-        let seq: Vec<_> = points.iter().map(|p| evaluator.evaluate(p)).collect();
+        let seq = parallel_sweep(&points, &ExpOptions { threads: 1, ..opts });
+        assert_eq!(par.len(), points.len());
         assert_eq!(par, seq);
     }
 

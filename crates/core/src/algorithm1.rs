@@ -11,10 +11,10 @@
 use hi_net::AppParams;
 use hi_trace::wellknown as wk;
 
-use crate::checkpoint::ExploreCheckpoint;
+use crate::checkpoint::{validate_resume, ExploreCheckpoint, ENGINE_ALGORITHM1};
 use crate::constraints::DesignSpace;
-use crate::evaluator::{Evaluation, Evaluator, PointEvaluator};
-use crate::exhaustive::{best_feasible, improves};
+use crate::evaluator::{Evaluation, PointEvaluator};
+use crate::exhaustive::{best_feasible, improves, settled};
 use crate::milp_encode::MilpEncoding;
 use crate::parallel::ExecContext;
 use crate::point::DesignPoint;
@@ -140,8 +140,8 @@ impl From<hi_milp::SolveError> for ExploreError {
     }
 }
 
-/// Tuning knobs for [`explore_with_options`]; the defaults reproduce the
-/// paper's Algorithm 1 exactly.
+/// Tuning knobs for [`explore`] and the robust engines; the defaults
+/// reproduce the paper's Algorithm 1 exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreOptions {
     /// Apply the α divisor in the termination test (line 5). Disabling it
@@ -159,11 +159,11 @@ pub struct ExploreOptions {
     pub budget: Option<u64>,
     /// Auto-checkpoint cadence: snapshot the exploration state every `k`
     /// completed iterations and hand it to the observer (see
-    /// [`explore_par_observed`]). The snapshot is taken after the level's
-    /// power cut lands, so resuming from it replays exactly the levels an
+    /// [`explore`]). The snapshot is taken after the level's power cut
+    /// lands, so resuming from it replays exactly the levels an
     /// uninterrupted run would visit next. `None` (the default) and
-    /// `Some(0)` disable periodic snapshots; entry points without an
-    /// observer ignore the cadence entirely.
+    /// `Some(0)` disable periodic snapshots; a caller that needs no
+    /// snapshots passes a no-op observer.
     pub checkpoint_every: Option<u32>,
 }
 
@@ -177,44 +177,34 @@ impl Default for ExploreOptions {
     }
 }
 
-/// Runs Algorithm 1 on `problem`, using `evaluator` as the `RunSim` oracle.
+/// Runs Algorithm 1 on `problem`, using `evaluator` as the `RunSim`
+/// oracle.
 ///
-/// # Errors
+/// Each candidate level (the MILP's pool `S`) fans out over `exec`'s
+/// thread pool and the per-level reduction stays sequential over pool
+/// order, so the outcome — best point, iteration count, candidate count
+/// and simulation count — is bit-identical for every thread count
+/// ([`ExecContext::sequential`] runs the plain sequential loop). A
+/// candidate whose evaluation fails is excluded from its level and
+/// counted in [`ExplorationOutcome::eval_errors`].
 ///
-/// Returns [`ExploreError`] if the MILP solver fails (structurally
-/// impossible for well-formed problems; numerical safety valve).
-pub fn explore(
-    problem: &Problem,
-    evaluator: &mut dyn Evaluator,
-) -> Result<ExplorationOutcome, ExploreError> {
-    explore_with_options(problem, evaluator, ExploreOptions::default())
-}
-
-/// [`explore`] with explicit [`ExploreOptions`] (ablation entry point).
+/// `resume` continues from a saved [`ExploreCheckpoint`]: its cut ladder
+/// is replayed into a fresh MILP encoding and its incumbent and effort
+/// counters are restored, so the continuation visits exactly the
+/// candidate levels the uninterrupted run would have visited next.
+/// Because levels are disjoint (each cut excludes the previous level), a
+/// checkpoint-and-resume pair performs the same total unique simulations
+/// — and reports the same outcome, bit for bit — as a single
+/// straight-through run.
 ///
-/// # Errors
-///
-/// Returns [`ExploreError`] if the MILP solver fails.
-pub fn explore_with_options(
-    problem: &Problem,
-    evaluator: &mut dyn Evaluator,
-    options: ExploreOptions,
-) -> Result<ExplorationOutcome, ExploreError> {
-    explore_impl(
-        problem,
-        options,
-        &mut SeqOracle(evaluator),
-        None,
-        &mut |_| (),
-    )
-}
-
-/// [`explore`] on the execution engine: each candidate level (the MILP's
-/// pool `S`) fans out over `exec`'s thread pool and the per-level
-/// reduction stays sequential over pool order, so the outcome — best
-/// point, iteration count, candidate count and simulation count — is
-/// bit-identical for every thread count (`threads == 1` runs the plain
-/// sequential loop).
+/// Every [`ExploreOptions::checkpoint_every`] completed iterations,
+/// `observer` receives a snapshot of the full exploration state (taken
+/// after that level's power cut, so it resumes bit-identically). The
+/// observer is the persistence policy — the CLI writes each snapshot
+/// crash-safely via
+/// [`ExploreCheckpoint::write_atomic`](crate::ExploreCheckpoint::write_atomic);
+/// tests collect them in memory. Observer calls happen on the driving
+/// thread, between iterations, so they never perturb evaluation order.
 ///
 /// Cancelling `exec` stops in-flight candidate evaluations between tasks
 /// and breaks the loop with [`StopReason::Cancelled`]; the incumbent of
@@ -222,55 +212,12 @@ pub fn explore_with_options(
 ///
 /// # Errors
 ///
-/// Returns [`ExploreError`] if the MILP solver fails.
-pub fn explore_par<P: PointEvaluator>(
-    problem: &Problem,
-    evaluator: &P,
-    options: ExploreOptions,
-    exec: &ExecContext,
-) -> Result<ExplorationOutcome, ExploreError> {
-    explore_par_from(problem, evaluator, options, exec, None)
-}
-
-/// [`explore_par`] resuming from a saved [`ExploreCheckpoint`]: the
-/// checkpoint's cut ladder is replayed into a fresh MILP encoding and its
-/// incumbent and effort counters are restored, so the continuation visits
-/// exactly the candidate levels the uninterrupted run would have visited
-/// next. Because levels are disjoint (each cut excludes the previous
-/// level), a checkpoint-and-resume pair performs the same total unique
-/// simulations — and reports the same outcome, bit for bit — as a single
-/// straight-through run.
-///
-/// # Errors
-///
-/// Returns [`ExploreError::Checkpoint`] if the checkpoint was recorded
-/// under a different `pdr_min` or `alpha_correction` than this call, and
-/// [`ExploreError::Milp`] if the MILP solver fails.
-pub fn explore_par_from<P: PointEvaluator>(
-    problem: &Problem,
-    evaluator: &P,
-    options: ExploreOptions,
-    exec: &ExecContext,
-    resume: Option<&ExploreCheckpoint>,
-) -> Result<ExplorationOutcome, ExploreError> {
-    explore_par_observed(problem, evaluator, options, exec, resume, &mut |_| ())
-}
-
-/// [`explore_par_from`] with an auto-checkpoint observer: every
-/// [`ExploreOptions::checkpoint_every`] completed iterations, `observer`
-/// receives a snapshot of the full exploration state (taken after that
-/// level's power cut, so it resumes bit-identically). The observer is the
-/// persistence policy — the CLI writes each snapshot crash-safely via
-/// [`ExploreCheckpoint::write_atomic`](crate::ExploreCheckpoint::write_atomic);
-/// tests collect them in memory. Observer calls happen on the driving
-/// thread, between iterations, so they never perturb evaluation order.
-///
-/// # Errors
-///
-/// Returns [`ExploreError::Checkpoint`] if the checkpoint was recorded
-/// under a different `pdr_min` or `alpha_correction` than this call, and
-/// [`ExploreError::Milp`] if the MILP solver fails.
-pub fn explore_par_observed<P: PointEvaluator>(
+/// Returns [`ExploreError::Checkpoint`] if the checkpoint was recorded by
+/// another engine or under a different `pdr_min` or `alpha_correction`
+/// than this call, and [`ExploreError::Milp`] if the MILP solver fails
+/// (structurally impossible for well-formed problems; numerical safety
+/// valve).
+pub fn explore<P: PointEvaluator>(
     problem: &Problem,
     evaluator: &P,
     options: ExploreOptions,
@@ -278,123 +225,7 @@ pub fn explore_par_observed<P: PointEvaluator>(
     resume: Option<&ExploreCheckpoint>,
     observer: &mut dyn FnMut(&ExploreCheckpoint),
 ) -> Result<ExplorationOutcome, ExploreError> {
-    if let Some(cp) = resume {
-        if cp.engine != crate::checkpoint::ENGINE_ALGORITHM1 {
-            return Err(ExploreError::Checkpoint(format!(
-                "checkpoint was recorded by engine `{}`, this run uses `{}`",
-                cp.engine,
-                crate::checkpoint::ENGINE_ALGORITHM1
-            )));
-        }
-        if cp.pdr_min.to_bits() != problem.pdr_min.to_bits() {
-            return Err(ExploreError::Checkpoint(format!(
-                "checkpoint was recorded at pdr_min = {}, this run uses {}",
-                cp.pdr_min, problem.pdr_min
-            )));
-        }
-        if cp.alpha_correction != options.alpha_correction {
-            return Err(ExploreError::Checkpoint(
-                "checkpoint and this run disagree on alpha_correction".into(),
-            ));
-        }
-    }
-    explore_impl(
-        problem,
-        options,
-        &mut ParOracle {
-            evaluator,
-            exec,
-            eval_errors: 0,
-        },
-        resume,
-        observer,
-    )
-}
-
-/// How `explore_impl` measures candidate levels: sequentially through a
-/// `&mut dyn Evaluator`, or batched over the execution engine.
-trait CandidateOracle {
-    /// Evaluates one candidate level in pool order. `None` entries mark
-    /// candidates skipped because of cancellation.
-    fn eval_level(&mut self, pool: &[DesignPoint]) -> Vec<Option<Evaluation>>;
-    /// The evaluator's unique-simulation counter.
-    fn unique_evaluations(&self) -> u64;
-    /// Whether the search has been cancelled.
-    fn cancelled(&self) -> bool;
-    /// Candidates whose evaluation failed so far (0 for oracles that
-    /// cannot observe failures).
-    fn eval_errors(&self) -> u64 {
-        0
-    }
-}
-
-struct SeqOracle<'a>(&'a mut dyn Evaluator);
-
-impl CandidateOracle for SeqOracle<'_> {
-    fn eval_level(&mut self, pool: &[DesignPoint]) -> Vec<Option<Evaluation>> {
-        hi_trace::counter(wk::CORE_EVALS, pool.len() as u64);
-        pool.iter().map(|p| Some(self.0.evaluate(p))).collect()
-    }
-
-    fn unique_evaluations(&self) -> u64 {
-        self.0.unique_evaluations()
-    }
-
-    fn cancelled(&self) -> bool {
-        false
-    }
-}
-
-struct ParOracle<'a, P: PointEvaluator> {
-    evaluator: &'a P,
-    exec: &'a ExecContext,
-    eval_errors: u64,
-}
-
-impl<P: PointEvaluator> CandidateOracle for ParOracle<'_, P> {
-    fn eval_level(&mut self, pool: &[DesignPoint]) -> Vec<Option<Evaluation>> {
-        // A failed candidate degrades to an empty slot: it is excluded
-        // from the level (it cannot be elected incumbent) and counted,
-        // while every healthy candidate still completes.
-        hi_trace::counter(wk::CORE_EVALS, pool.len() as u64);
-        let errors_before = self.eval_errors;
-        let level: Vec<Option<Evaluation>> = self
-            .exec
-            .try_eval_points(self.evaluator, pool)
-            .into_iter()
-            .map(|slot| match slot {
-                Some(Ok(eval)) => Some(eval),
-                Some(Err(_)) => {
-                    self.eval_errors += 1;
-                    None
-                }
-                None => None,
-            })
-            .collect();
-        hi_trace::counter(wk::CORE_EVAL_ERRORS, self.eval_errors - errors_before);
-        level
-    }
-
-    fn unique_evaluations(&self) -> u64 {
-        self.evaluator.unique_evaluations()
-    }
-
-    fn cancelled(&self) -> bool {
-        self.exec.is_cancelled()
-    }
-
-    fn eval_errors(&self) -> u64 {
-        self.eval_errors
-    }
-}
-
-fn explore_impl(
-    problem: &Problem,
-    options: ExploreOptions,
-    oracle: &mut dyn CandidateOracle,
-    resume: Option<&ExploreCheckpoint>,
-    observer: &mut dyn FnMut(&ExploreCheckpoint),
-) -> Result<ExplorationOutcome, ExploreError> {
+    validate_resume(resume, ENGINE_ALGORITHM1, problem, options)?;
     let mut encoding = MilpEncoding::new(problem.space.constraints(), &problem.app);
     let mut cuts: Vec<f64> = Vec::new();
     let mut best: Option<(DesignPoint, Evaluation)> = None;
@@ -416,17 +247,17 @@ fn explore_impl(
         candidates_proposed = cp.candidates_proposed;
         prior_sims = cp.simulations;
     }
-    let sims_before = oracle.unique_evaluations();
-    let sims_spent =
-        |oracle: &dyn CandidateOracle| prior_sims + (oracle.unique_evaluations() - sims_before);
+    let mut eval_errors = 0u64;
+    let sims_before = evaluator.unique_evaluations();
+    let sims_spent = |evaluator: &P| prior_sims + (evaluator.unique_evaluations() - sims_before);
 
     let stop_reason = loop {
-        if oracle.cancelled() {
+        if exec.is_cancelled() {
             break StopReason::Cancelled;
         }
         // Graceful degradation: out of simulation budget means stop
         // *before* starting another level, keeping best-so-far intact.
-        if options.budget.is_some_and(|b| sims_spent(oracle) >= b) {
+        if options.budget.is_some_and(|b| sims_spent(evaluator) >= b) {
             break StopReason::BudgetExhausted;
         }
         let mut iter_span = hi_trace::span("algo1.iteration");
@@ -466,18 +297,20 @@ fn explore_impl(
             if s.is_recording() {
                 s.arg("candidates", pool.len() as u64);
             }
-            oracle.eval_level(&pool)
+            hi_trace::counter(wk::CORE_EVALS, pool.len() as u64);
+            exec.try_eval_points(evaluator, &pool)
         };
-        if oracle.cancelled() {
+        // A failed candidate is excluded from the level (it cannot be
+        // elected incumbent) and counted, while every healthy candidate
+        // still competes.
+        let (level, failed) = settled(&pool, evals);
+        eval_errors += failed;
+        hi_trace::counter(wk::CORE_EVAL_ERRORS, failed);
+        if exec.is_cancelled() {
             // A partially evaluated level could elect a wrong level-best;
             // discard it and report the incumbent so far.
             break StopReason::Cancelled;
         }
-        let level: Vec<(DesignPoint, Evaluation)> = pool
-            .iter()
-            .zip(evals)
-            .filter_map(|(point, eval)| eval.map(|e| (*point, e)))
-            .collect();
         // Lines 9-10: update the incumbent.
         if let Some((pt, ev)) = best_feasible(&level, problem.pdr_min) {
             if best.as_ref().is_none_or(|(_, b)| !improves(b, &ev)) {
@@ -508,13 +341,13 @@ fn explore_impl(
             .is_some_and(|k| k > 0 && iterations.is_multiple_of(k))
         {
             observer(&ExploreCheckpoint {
-                engine: crate::checkpoint::ENGINE_ALGORITHM1.to_string(),
+                engine: ENGINE_ALGORITHM1.to_string(),
                 pdr_min: problem.pdr_min,
                 alpha_correction: options.alpha_correction,
                 cuts: cuts.clone(),
                 iterations,
                 candidates_proposed,
-                simulations: sims_spent(oracle),
+                simulations: sims_spent(evaluator),
                 best,
             });
         }
@@ -524,8 +357,8 @@ fn explore_impl(
         best,
         iterations,
         candidates_proposed,
-        simulations: sims_spent(oracle),
-        eval_errors: oracle.eval_errors(),
+        simulations: sims_spent(evaluator),
+        eval_errors,
         cuts,
         stop_reason,
     })
@@ -563,10 +396,24 @@ mod tests {
         }
     }
 
+    /// A sequential run with default options, no resume, no snapshots.
+    fn explore_seq<P: PointEvaluator>(problem: &Problem, evaluator: &P) -> ExplorationOutcome {
+        let exec = ExecContext::sequential();
+        explore(
+            problem,
+            evaluator,
+            ExploreOptions::default(),
+            &exec,
+            None,
+            &mut |_| (),
+        )
+        .unwrap()
+    }
+
     fn run(pdr_min: f64) -> (ExplorationOutcome, u64) {
         let problem = Problem::paper_default(pdr_min);
-        let mut ev = FnEvaluator::new(ladder_oracle);
-        let out = explore(&problem, &mut ev).unwrap();
+        let ev = FnEvaluator::new(ladder_oracle);
+        let out = explore_seq(&problem, &ev);
         let sims = ev.unique_evaluations();
         (out, sims)
     }
@@ -608,12 +455,12 @@ mod tests {
     fn impossible_reliability_reported_infeasible() {
         // Oracle never exceeds 1.0 but a floor above every reachable pdr:
         let problem = Problem::paper_default(1.0);
-        let mut ev = FnEvaluator::new(|p| {
+        let ev = FnEvaluator::new(|p: &DesignPoint| {
             let mut e = ladder_oracle(p);
             e.pdr = e.pdr.min(0.99); // nothing reaches 1.0
             e
         });
-        let out = explore(&problem, &mut ev).unwrap();
+        let out = explore_seq(&problem, &ev);
         assert!(out.best.is_none());
         assert_eq!(out.stop_reason, StopReason::MilpExhausted);
     }
@@ -644,8 +491,8 @@ mod tests {
     fn optimum_maximizes_nlt_among_feasible_points() {
         // Brute-force the oracle over the whole space and compare.
         let problem = Problem::paper_default(0.9);
-        let mut ev = FnEvaluator::new(ladder_oracle);
-        let out = explore(&problem, &mut ev).unwrap();
+        let ev = FnEvaluator::new(ladder_oracle);
+        let out = explore_seq(&problem, &ev);
         let (_, got) = out.best.unwrap();
 
         let best_nlt = problem

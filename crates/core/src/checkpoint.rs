@@ -40,6 +40,7 @@
 
 use std::path::{Path, PathBuf};
 
+use crate::algorithm1::{ExploreError, ExploreOptions, Problem};
 use crate::crc32::crc32_ieee;
 use crate::evaluator::Evaluation;
 use crate::point::DesignPoint;
@@ -77,6 +78,37 @@ pub struct ExploreCheckpoint {
     pub simulations: u64,
     /// The incumbent, if any.
     pub best: Option<(DesignPoint, Evaluation)>,
+}
+
+/// Validates a resume checkpoint against the engine about to continue
+/// it: the recording engine, the `pdr_min` bits and `alpha_correction`
+/// must all match, because each engine's cut ladder replays into its own
+/// encoding under the problem it was recorded for.
+pub(crate) fn validate_resume(
+    resume: Option<&ExploreCheckpoint>,
+    engine: &str,
+    problem: &Problem,
+    options: ExploreOptions,
+) -> Result<(), ExploreError> {
+    let Some(cp) = resume else { return Ok(()) };
+    if cp.engine != engine {
+        return Err(ExploreError::Checkpoint(format!(
+            "checkpoint was recorded by engine `{}`, this run uses `{engine}`",
+            cp.engine
+        )));
+    }
+    if cp.pdr_min.to_bits() != problem.pdr_min.to_bits() {
+        return Err(ExploreError::Checkpoint(format!(
+            "checkpoint was recorded at pdr_min = {}, this run uses {}",
+            cp.pdr_min, problem.pdr_min
+        )));
+    }
+    if cp.alpha_correction != options.alpha_correction {
+        return Err(ExploreError::Checkpoint(
+            "checkpoint and this run disagree on alpha_correction".into(),
+        ));
+    }
+    Ok(())
 }
 
 const HEADER_V1: &str = "hi-opt explore checkpoint v1";

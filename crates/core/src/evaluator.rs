@@ -1,6 +1,5 @@
 //! Performance evaluation of design points (Algorithm 1's `RunSim`).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use hi_channel::ChannelParams;
@@ -25,33 +24,25 @@ pub struct Evaluation {
     pub latency_ms: f64,
 }
 
-/// Anything that can measure a design point. Algorithm 1 and the baseline
-/// searches consume evaluations through this trait, so tests and benches
-/// can substitute deterministic oracles for the (expensive) simulator.
-pub trait Evaluator {
-    /// Measures (or recalls) the performance of `point`.
-    fn evaluate(&mut self, point: &DesignPoint) -> Evaluation;
-
-    /// Number of *unique* expensive evaluations performed so far — the
-    /// simulation-count metric behind the paper's "87% fewer simulations".
-    fn unique_evaluations(&self) -> u64;
-}
-
-/// A thread-safe, cheaply clonable point evaluator: the interface the
-/// parallel engines fan out over worker threads.
+/// Anything that can measure a design point: Algorithm 1's `RunSim`
+/// oracle. Every engine consumes evaluations through this trait, so tests
+/// and benches can substitute deterministic oracles ([`FnEvaluator`]) for
+/// the (expensive) simulator.
 ///
-/// Unlike [`Evaluator`], evaluation takes `&self` (workers share one
-/// instance) and is fallible: a broken point — or a panicking simulation
-/// — degrades to a typed [`EvalError`] for that slot instead of taking
-/// down the whole batch. Implementations must be deterministic: the same
-/// point must always produce the same `Result`, independent of thread
-/// count, evaluation order, and which clone asked.
+/// Evaluation takes `&self` (workers share one instance, and a sequential
+/// run is just a one-worker [`ExecContext`](crate::ExecContext)) and is
+/// fallible: a broken point — or a panicking simulation — degrades to a
+/// typed [`EvalError`] for that slot instead of taking down the whole
+/// batch. Implementations must be deterministic: the same point must
+/// always produce the same `Result`, independent of thread count,
+/// evaluation order, and which clone asked.
 pub trait PointEvaluator: Clone + Send + Sync + 'static {
     /// Measures (or recalls) the performance of `point`.
     fn try_eval(&self, point: &DesignPoint) -> Result<Evaluation, EvalError>;
 
-    /// Number of unique expensive evaluations performed so far (failed
-    /// attempts count: they spent the compute budget too).
+    /// Number of unique expensive evaluations performed so far — the
+    /// simulation-count metric behind the paper's "87% fewer simulations"
+    /// (failed attempts count: they spent the compute budget too).
     fn unique_evaluations(&self) -> u64;
 
     /// Forgets the memoized result of `point`, if any, so the next
@@ -68,10 +59,10 @@ pub trait PointEvaluator: Clone + Send + Sync + 'static {
 /// The full simulation protocol of an evaluator: channel, per-run
 /// duration, replication count and master seed.
 ///
-/// Every evaluator in the workspace — the CLI's, the experiment
-/// binaries' and the parallel engines' — is built through this one type,
-/// so `--tsim`, `--runs`, `--seed` and `--threads` semantics cannot
-/// drift between entry points.
+/// Every simulation evaluator in the workspace — the CLI's, the
+/// experiment binaries', the daemon's and the benchmark's — is built
+/// through this one type, so `--tsim`, `--runs`, `--seed` and
+/// `--threads` semantics cannot drift between entry points.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimProtocol {
     /// Channel model parameters.
@@ -128,11 +119,6 @@ impl SimProtocol {
         Self::new(SimDuration::from_secs(600.0), 3, seed)
     }
 
-    /// A fresh single-threaded memoizing evaluator under this protocol.
-    pub fn evaluator(&self) -> SimEvaluator {
-        SimEvaluator::new(self.channel, self.t_sim, self.runs, self.seed)
-    }
-
     /// A fresh thread-safe evaluator with a (shareable) evaluation cache.
     pub fn shared_evaluator(&self) -> SharedSimEvaluator {
         SharedSimEvaluator::new(*self)
@@ -143,17 +129,13 @@ impl SimProtocol {
 /// one design point, seeded purely from `(protocol seed, point)` so the
 /// result is independent of evaluation order, thread interleaving and
 /// which engine asked first.
-fn simulate_point(protocol: &SimProtocol, point: &DesignPoint) -> Evaluation {
-    try_simulate_point(protocol, point)
-        .unwrap_or_else(|e| panic!("evaluation of {point} failed: {e}"))
-}
-
-/// [`simulate_point`] with the protocol's logical deadline surfaced as a
-/// typed error: a replication exceeding [`SimProtocol::max_events`] fails
-/// the evaluation with [`hi_exec::ErrorKind::DeadlineExceeded`] (and an
-/// `exec.deadline` trace tick) instead of panicking. Invalid lowerings
-/// still panic — the design space guarantees valid configs, so that path
-/// is an engine bug, not an input condition.
+///
+/// A replication exceeding [`SimProtocol::max_events`] fails the
+/// evaluation with a typed [`hi_exec::ErrorKind::DeadlineExceeded`] error
+/// (and an `exec.deadline` trace tick). Invalid lowerings panic — the
+/// design space guarantees valid configs, so that path is an engine bug,
+/// not an input condition — and [`SharedSimEvaluator`] degrades the panic
+/// to an [`EvalError`].
 fn try_simulate_point(
     protocol: &SimProtocol,
     point: &DesignPoint,
@@ -186,70 +168,17 @@ fn try_simulate_point(
 }
 
 /// The production evaluator: runs the discrete-event simulator (averaged
-/// over `runs` seeds), memoizing results per design point.
-#[derive(Debug)]
-pub struct SimEvaluator {
-    protocol: SimProtocol,
-    cache: HashMap<DesignPoint, Evaluation>,
-    unique: u64,
-}
-
-impl SimEvaluator {
-    /// Creates an evaluator with the paper's protocol: each evaluation is
-    /// `runs` simulations of `t_sim` averaged together.
-    pub fn new(channel: ChannelParams, t_sim: SimDuration, runs: u32, base_seed: u64) -> Self {
-        Self {
-            protocol: SimProtocol {
-                channel,
-                t_sim,
-                runs,
-                seed: base_seed,
-                max_events: None,
-                app: AppParams::default(),
-            },
-            cache: HashMap::new(),
-            unique: 0,
-        }
-    }
-
-    /// The paper's §4 protocol: `Tsim = 600 s`, 3 runs.
-    pub fn paper_protocol(channel: ChannelParams, base_seed: u64) -> Self {
-        Self::new(channel, SimDuration::from_secs(600.0), 3, base_seed)
-    }
-
-    /// Number of cached evaluations.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-}
-
-impl Evaluator for SimEvaluator {
-    fn evaluate(&mut self, point: &DesignPoint) -> Evaluation {
-        if let Some(e) = self.cache.get(point) {
-            return *e;
-        }
-        let eval = simulate_point(&self.protocol, point);
-        self.cache.insert(*point, eval);
-        self.unique += 1;
-        eval
-    }
-
-    fn unique_evaluations(&self) -> u64 {
-        self.unique
-    }
-}
-
-/// A thread-safe simulation evaluator whose memo cache is *shared*
-/// between clones.
+/// over `runs` seeds), memoizing results per design point in a cache
+/// *shared* between clones.
 ///
 /// Clones are cheap (`Arc` bump) and hand the same [`EvalCache`] to every
 /// worker thread and every engine in the process, so a point simulated by
 /// the exhaustive sweep is a cache hit for Algorithm 1 and simulated
 /// annealing. The cache's exactly-once contract keeps
-/// [`unique_evaluations`](Evaluator::unique_evaluations) independent of
-/// the thread count, and the per-point seed derivation (certified by
+/// [`unique_evaluations`](PointEvaluator::unique_evaluations) independent
+/// of the thread count, and the per-point seed derivation (certified by
 /// `sim_evaluator_is_order_independent`) keeps every `Evaluation`
-/// bit-identical to the sequential evaluator's.
+/// independent of evaluation order.
 #[derive(Debug, Clone)]
 pub struct SharedSimEvaluator {
     protocol: SimProtocol,
@@ -263,37 +192,6 @@ impl SharedSimEvaluator {
             protocol,
             cache: Arc::new(EvalCache::new()),
         }
-    }
-
-    /// Measures (or recalls) `point` through the shared cache. Takes
-    /// `&self`, so workers can evaluate concurrently. Panics if the
-    /// simulation fails; use [`try_eval_point`](Self::try_eval_point)
-    /// on paths that must survive broken points.
-    pub fn eval_point(&self, point: &DesignPoint) -> Evaluation {
-        match self.try_eval_point(point) {
-            Ok(eval) => eval,
-            Err(e) => panic!("evaluation of {point} failed: {e}"),
-        }
-    }
-
-    /// Measures (or recalls) `point`, degrading a panicking simulation to
-    /// a typed [`EvalError`] (and a logical-deadline trip to a typed
-    /// [`hi_exec::ErrorKind::DeadlineExceeded`] error). The failure is
-    /// cached exactly once like a success, so the unique-evaluation count
-    /// stays thread-invariant even when some points are broken.
-    pub fn try_eval_point(&self, point: &DesignPoint) -> Result<Evaluation, EvalError> {
-        self.cache.get_or_compute(*point, || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                try_simulate_point(&self.protocol, point)
-            }))
-            .unwrap_or_else(|payload| Err(EvalError::from_panic(payload.as_ref())));
-            if result.is_err() {
-                // A fresh compute whose memoized value is a failure: every
-                // later lookup of this point is a hit on the cached error.
-                hi_trace::counter(hi_trace::wellknown::EXEC_CACHE_PANIC_MEMO, 1);
-            }
-            result
-        })
     }
 
     /// The protocol this evaluator runs.
@@ -345,27 +243,33 @@ impl SharedSimEvaluator {
     }
 
     /// Number of unique expensive evaluations performed (shared across
-    /// clones; failed attempts count). Inherent so call sites never
-    /// have to disambiguate between the [`Evaluator`] and
-    /// [`PointEvaluator`] impls, which both delegate here.
+    /// clones; failed attempts count). Inherent so call sites need not
+    /// import [`PointEvaluator`], whose impl delegates here.
     pub fn unique_evaluations(&self) -> u64 {
         self.cache.misses()
     }
 }
 
-impl Evaluator for SharedSimEvaluator {
-    fn evaluate(&mut self, point: &DesignPoint) -> Evaluation {
-        self.eval_point(point)
-    }
-
-    fn unique_evaluations(&self) -> u64 {
-        SharedSimEvaluator::unique_evaluations(self)
-    }
-}
-
 impl PointEvaluator for SharedSimEvaluator {
+    /// Measures (or recalls) `point` through the shared cache, degrading
+    /// a panicking simulation to a typed [`EvalError`] (and a
+    /// logical-deadline trip to a typed
+    /// [`hi_exec::ErrorKind::DeadlineExceeded`] error). The failure is
+    /// cached exactly once like a success, so the unique-evaluation count
+    /// stays thread-invariant even when some points are broken.
     fn try_eval(&self, point: &DesignPoint) -> Result<Evaluation, EvalError> {
-        self.try_eval_point(point)
+        self.cache.get_or_compute(*point, || {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                try_simulate_point(&self.protocol, point)
+            }))
+            .unwrap_or_else(|payload| Err(EvalError::from_panic(payload.as_ref())));
+            if result.is_err() {
+                // A fresh compute whose memoized value is a failure: every
+                // later lookup of this point is a hit on the cached error.
+                hi_trace::counter(hi_trace::wellknown::EXEC_CACHE_PANIC_MEMO, 1);
+            }
+            result
+        })
     }
 
     fn unique_evaluations(&self) -> u64 {
@@ -377,45 +281,53 @@ impl PointEvaluator for SharedSimEvaluator {
     }
 }
 
-/// A deterministic test/bench oracle backed by a closure.
-pub struct FnEvaluator<F: FnMut(&DesignPoint) -> Evaluation> {
-    f: F,
-    cache: HashMap<DesignPoint, Evaluation>,
-    unique: u64,
+/// A deterministic test/bench oracle backed by a closure, memoized in an
+/// [`EvalCache`] that clones share (like [`SharedSimEvaluator`]'s), so the
+/// engines count its unique evaluations exactly as they count
+/// simulations.
+pub struct FnEvaluator<F> {
+    f: Arc<F>,
+    cache: Arc<EvalCache<DesignPoint, Evaluation>>,
 }
 
-impl<F: FnMut(&DesignPoint) -> Evaluation> std::fmt::Debug for FnEvaluator<F> {
+impl<F> Clone for FnEvaluator<F> {
+    fn clone(&self) -> Self {
+        Self {
+            f: Arc::clone(&self.f),
+            cache: Arc::clone(&self.cache),
+        }
+    }
+}
+
+impl<F> std::fmt::Debug for FnEvaluator<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FnEvaluator")
-            .field("unique", &self.unique)
+            .field("unique", &self.cache.misses())
             .finish()
     }
 }
 
-impl<F: FnMut(&DesignPoint) -> Evaluation> FnEvaluator<F> {
+impl<F: Fn(&DesignPoint) -> Evaluation + Send + Sync + 'static> FnEvaluator<F> {
     /// Wraps a closure as a memoized evaluator.
     pub fn new(f: F) -> Self {
         Self {
-            f,
-            cache: HashMap::new(),
-            unique: 0,
+            f: Arc::new(f),
+            cache: Arc::new(EvalCache::new()),
         }
     }
 }
 
-impl<F: FnMut(&DesignPoint) -> Evaluation> Evaluator for FnEvaluator<F> {
-    fn evaluate(&mut self, point: &DesignPoint) -> Evaluation {
-        if let Some(e) = self.cache.get(point) {
-            return *e;
-        }
-        let e = (self.f)(point);
-        self.cache.insert(*point, e);
-        self.unique += 1;
-        e
+impl<F: Fn(&DesignPoint) -> Evaluation + Send + Sync + 'static> PointEvaluator for FnEvaluator<F> {
+    fn try_eval(&self, point: &DesignPoint) -> Result<Evaluation, EvalError> {
+        Ok(self.cache.get_or_compute(*point, || (self.f)(point)))
     }
 
     fn unique_evaluations(&self) -> u64 {
-        self.unique
+        self.cache.misses()
+    }
+
+    fn drop_cached(&self, point: &DesignPoint) -> bool {
+        self.cache.remove(point)
     }
 }
 
@@ -424,6 +336,7 @@ mod tests {
     use super::*;
     use crate::point::{MacChoice, Placement, RouteChoice};
     use hi_net::TxPower;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn pt() -> DesignPoint {
         DesignPoint {
@@ -436,9 +349,10 @@ mod tests {
 
     #[test]
     fn fn_evaluator_memoizes() {
-        let mut calls = 0;
-        let mut ev = FnEvaluator::new(|_p| {
-            calls += 1;
+        let calls = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&calls);
+        let ev = FnEvaluator::new(move |_p: &DesignPoint| {
+            counted.fetch_add(1, Ordering::Relaxed);
             Evaluation {
                 pdr: 0.9,
                 nlt_days: 10.0,
@@ -446,19 +360,20 @@ mod tests {
                 latency_ms: 4.0,
             }
         });
-        let a = ev.evaluate(&pt());
-        let b = ev.evaluate(&pt());
+        let a = ev.try_eval(&pt()).unwrap();
+        // A clone shares the memo: no second call of the closure.
+        let b = ev.clone().try_eval(&pt()).unwrap();
         assert_eq!(a, b);
         assert_eq!(ev.unique_evaluations(), 1);
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn sim_evaluator_caches_and_counts() {
-        let mut ev =
-            SimEvaluator::new(ChannelParams::default(), SimDuration::from_secs(5.0), 1, 42);
-        let a = ev.evaluate(&pt());
+        let ev = SimProtocol::new(SimDuration::from_secs(5.0), 1, 42).shared_evaluator();
+        let a = ev.try_eval(&pt()).unwrap();
         assert_eq!(ev.unique_evaluations(), 1);
-        let b = ev.evaluate(&pt());
+        let b = ev.try_eval(&pt()).unwrap();
         assert_eq!(ev.unique_evaluations(), 1);
         assert_eq!(a, b);
         assert_eq!(ev.cache_len(), 1);
@@ -471,15 +386,15 @@ mod tests {
     fn shared_evaluator_matches_sequential_and_shares_its_cache() {
         let protocol = SimProtocol::new(SimDuration::from_secs(3.0), 1, 99);
         let shared = protocol.shared_evaluator();
-        let mut sequential = protocol.evaluator();
+        let independent = protocol.shared_evaluator();
         let p1 = pt();
         let mut p2 = pt();
         p2.tx_power = TxPower::Minus10Dbm;
-        assert_eq!(shared.eval_point(&p1), sequential.evaluate(&p1));
-        assert_eq!(shared.eval_point(&p2), sequential.evaluate(&p2));
+        assert_eq!(shared.try_eval(&p1), independent.try_eval(&p1));
+        assert_eq!(shared.try_eval(&p2), independent.try_eval(&p2));
         // A clone sees the same cache: no new simulations, hits recorded.
-        let mut clone = shared.clone();
-        assert_eq!(clone.evaluate(&p1), shared.eval_point(&p1));
+        let clone = shared.clone();
+        assert_eq!(clone.try_eval(&p1), shared.try_eval(&p1));
         assert_eq!(shared.unique_evaluations(), 2);
         assert_eq!(clone.unique_evaluations(), 2);
         assert!(shared.cache_hits() >= 2);
@@ -498,15 +413,15 @@ mod tests {
             mac: MacChoice::Tdma,
             routing: RouteChoice::Star,
         };
-        let err = shared.try_eval_point(&broken).unwrap_err();
+        let err = shared.try_eval(&broken).unwrap_err();
         assert!(err.message().contains("chest"), "panic message lost: {err}");
         // The failure is cached: asking again is a hit, not a recompute,
         // and it still counts as one unique (attempted) evaluation.
-        assert_eq!(shared.try_eval_point(&broken).unwrap_err(), err);
-        assert_eq!(Evaluator::unique_evaluations(&shared.clone()), 1);
+        assert_eq!(shared.try_eval(&broken).unwrap_err(), err);
+        assert_eq!(PointEvaluator::unique_evaluations(&shared.clone()), 1);
         assert!(shared.cache_hits() >= 1);
         // Healthy points are unaffected.
-        assert!(shared.try_eval_point(&pt()).is_ok());
+        assert!(shared.try_eval(&pt()).is_ok());
     }
 
     #[test]
@@ -514,14 +429,11 @@ mod tests {
         let protocol =
             SimProtocol::new(SimDuration::from_secs(5.0), 2, 11).with_max_events(Some(3));
         let shared = protocol.shared_evaluator();
-        let err = shared.try_eval_point(&pt()).unwrap_err();
+        let err = shared.try_eval(&pt()).unwrap_err();
         assert_eq!(err.kind(), hi_exec::ErrorKind::DeadlineExceeded);
         assert!(err.message().contains("event budget"), "{err}");
         // Deterministic: the cached error equals a fresh recompute's.
-        let again = protocol
-            .shared_evaluator()
-            .try_eval_point(&pt())
-            .unwrap_err();
+        let again = protocol.shared_evaluator().try_eval(&pt()).unwrap_err();
         assert_eq!(err, again);
     }
 
@@ -529,8 +441,8 @@ mod tests {
     fn generous_event_budget_is_bit_identical_to_unbudgeted() {
         let plain = SimProtocol::new(SimDuration::from_secs(3.0), 1, 23);
         let budgeted = plain.with_max_events(Some(u64::MAX));
-        let a = plain.shared_evaluator().try_eval_point(&pt()).unwrap();
-        let b = budgeted.shared_evaluator().try_eval_point(&pt()).unwrap();
+        let a = plain.shared_evaluator().try_eval(&pt()).unwrap();
+        let b = budgeted.shared_evaluator().try_eval(&pt()).unwrap();
         assert_eq!(a.pdr.to_bits(), b.pdr.to_bits());
         assert_eq!(a.nlt_days.to_bits(), b.nlt_days.to_bits());
         assert_eq!(a.power_mw.to_bits(), b.power_mw.to_bits());
@@ -541,24 +453,24 @@ mod tests {
     fn drop_cached_forces_a_deterministic_recompute() {
         let protocol = SimProtocol::new(SimDuration::from_secs(2.0), 1, 77);
         let shared = protocol.shared_evaluator();
-        let first = shared.try_eval_point(&pt()).unwrap();
+        let first = shared.try_eval(&pt()).unwrap();
         assert!(shared.drop_cached(&pt()), "entry was cached");
         assert!(!shared.drop_cached(&pt()), "second drop finds nothing");
-        let second = shared.try_eval_point(&pt()).unwrap();
+        let second = shared.try_eval(&pt()).unwrap();
         assert_eq!(first.pdr.to_bits(), second.pdr.to_bits());
         assert_eq!(shared.unique_evaluations(), 2, "the recompute is a miss");
     }
 
     #[test]
     fn sim_evaluator_is_order_independent() {
-        let mk = || SimEvaluator::new(ChannelParams::default(), SimDuration::from_secs(5.0), 1, 7);
+        let protocol = SimProtocol::new(SimDuration::from_secs(5.0), 1, 7);
         let p1 = pt();
         let mut p2 = pt();
         p2.tx_power = TxPower::Minus10Dbm;
-        let mut a = mk();
-        let r1 = (a.evaluate(&p1), a.evaluate(&p2));
-        let mut b = mk();
-        let r2 = (b.evaluate(&p2), b.evaluate(&p1));
+        let a = protocol.shared_evaluator();
+        let r1 = (a.try_eval(&p1).unwrap(), a.try_eval(&p2).unwrap());
+        let b = protocol.shared_evaluator();
+        let r2 = (b.try_eval(&p2).unwrap(), b.try_eval(&p1).unwrap());
         assert_eq!(r1.0, r2.1);
         assert_eq!(r1.1, r2.0);
     }

@@ -3,8 +3,10 @@
 //! This is the reference the paper measures its "87% reduction in the
 //! number of required simulations" against.
 
+use hi_exec::EvalError;
+
 use crate::algorithm1::Problem;
-use crate::evaluator::{Evaluation, Evaluator, PointEvaluator};
+use crate::evaluator::{Evaluation, PointEvaluator};
 use crate::parallel::ExecContext;
 use crate::point::DesignPoint;
 
@@ -34,63 +36,76 @@ pub(crate) fn best_feasible<'a>(
     best
 }
 
+/// Pairs each point with its evaluation, in input order, dropping failed
+/// and skipped (`None`) slots; returns the pairs and the number of failed
+/// evaluations. Algorithm 1 and the exhaustive sweep both degrade a
+/// failed point this one way: it is excluded from the reduction and
+/// counted.
+pub(crate) fn settled(
+    points: &[DesignPoint],
+    slots: Vec<Option<Result<Evaluation, EvalError>>>,
+) -> (Vec<(DesignPoint, Evaluation)>, u64) {
+    let mut failed = 0u64;
+    let pairs = points
+        .iter()
+        .zip(slots)
+        .filter_map(|(point, slot)| match slot? {
+            Ok(eval) => Some((*point, eval)),
+            Err(_) => {
+                failed += 1;
+                None
+            }
+        })
+        .collect();
+    (pairs, failed)
+}
+
 /// Result of an exhaustive sweep.
 #[derive(Debug, Clone)]
 pub struct ExhaustiveOutcome {
     /// The lifetime-optimal reliability-feasible point, if any.
     pub best: Option<(DesignPoint, Evaluation)>,
-    /// Every `(point, evaluation)` pair, in enumeration order — the raw
-    /// material of the paper's Fig. 3 scatter.
+    /// Every successfully evaluated `(point, evaluation)` pair, in
+    /// enumeration order — the raw material of the paper's Fig. 3
+    /// scatter.
     pub evaluations: Vec<(DesignPoint, Evaluation)>,
     /// Unique simulations run.
     pub simulations: u64,
+    /// Points whose evaluation failed (panicking simulation, exceeded
+    /// event budget). They are excluded from `evaluations` and from the
+    /// selection of `best`, exactly as Algorithm 1 excludes a failed
+    /// candidate; a nonzero count flags a degraded sweep.
+    pub eval_errors: u64,
 }
 
 /// Evaluates every point of the problem's design space and returns the
 /// best feasible one along with the full sweep.
 ///
-/// Best-point selection follows the crate-wide tie-break: lowest
-/// `power_mw`, ties resolved to the first point in enumeration order.
-pub fn exhaustive_search(problem: &Problem, evaluator: &mut dyn Evaluator) -> ExhaustiveOutcome {
-    let before = evaluator.unique_evaluations();
-    let mut evaluations = Vec::new();
-    for point in problem.space.points() {
-        let eval = evaluator.evaluate(&point);
-        evaluations.push((point, eval));
-    }
-    ExhaustiveOutcome {
-        best: best_feasible(&evaluations, problem.pdr_min),
-        evaluations,
-        simulations: evaluator.unique_evaluations() - before,
-    }
-}
-
-/// [`exhaustive_search`] on the execution engine: the sweep fans out over
-/// `exec`'s thread pool while the reduction stays sequential over
-/// enumeration order, so the outcome — points, evaluations, best point
-/// and simulation count — is bit-identical for every thread count
-/// (`threads == 1` runs the plain sequential loop).
+/// The sweep fans out over `exec`'s thread pool while the reduction stays
+/// sequential over enumeration order, so the outcome — points,
+/// evaluations, best point, simulation and error counts — is
+/// bit-identical for every thread count ([`ExecContext::sequential`]
+/// runs the plain sequential loop). Best-point selection follows the
+/// crate-wide tie-break: lowest `power_mw`, ties resolved to the first
+/// point in enumeration order.
 ///
 /// If `exec` is cancelled mid-sweep, the outcome covers the evaluations
 /// that completed (a best-effort partial sweep, no longer guaranteed to
 /// be deterministic).
-pub fn exhaustive_search_par<P: PointEvaluator>(
+pub fn exhaustive_search<P: PointEvaluator>(
     problem: &Problem,
     evaluator: &P,
     exec: &ExecContext,
 ) -> ExhaustiveOutcome {
     let before = evaluator.unique_evaluations();
     let points = problem.space.points();
-    let evals = exec.eval_points(evaluator, &points);
-    let evaluations: Vec<(DesignPoint, Evaluation)> = points
-        .into_iter()
-        .zip(evals)
-        .filter_map(|(point, eval)| eval.map(|e| (point, e)))
-        .collect();
+    let slots = exec.try_eval_points(evaluator, &points);
+    let (evaluations, eval_errors) = settled(&points, slots);
     ExhaustiveOutcome {
         best: best_feasible(&evaluations, problem.pdr_min),
         evaluations,
         simulations: evaluator.unique_evaluations() - before,
+        eval_errors,
     }
 }
 
@@ -119,10 +134,11 @@ mod tests {
     #[test]
     fn sweeps_whole_space() {
         let problem = Problem::paper_default(0.9);
-        let mut ev = FnEvaluator::new(oracle);
-        let out = exhaustive_search(&problem, &mut ev);
+        let ev = FnEvaluator::new(oracle);
+        let out = exhaustive_search(&problem, &ev, &ExecContext::sequential());
         assert_eq!(out.evaluations.len(), 1320);
         assert_eq!(out.simulations, 1320);
+        assert_eq!(out.eval_errors, 0);
         let (pt, _) = out.best.unwrap();
         // Cheapest feasible: 4-node star at 0 dBm.
         assert_eq!(pt.tx_power, hi_net::TxPower::ZeroDbm);
@@ -135,21 +151,21 @@ mod tests {
         // tie-break must pick the very first enumerated point, no matter
         // what order evaluations complete in.
         let problem = Problem::paper_default(0.0);
-        let mut ev = FnEvaluator::new(|_: &DesignPoint| Evaluation {
+        let ev = FnEvaluator::new(|_: &DesignPoint| Evaluation {
             pdr: 1.0,
             nlt_days: 1.0,
             power_mw: 1.0,
             latency_ms: 1.0,
         });
-        let out = exhaustive_search(&problem, &mut ev);
+        let out = exhaustive_search(&problem, &ev, &ExecContext::new(2));
         assert_eq!(out.best.unwrap().0, problem.space.points()[0]);
     }
 
     #[test]
     fn reports_infeasible_when_nothing_qualifies() {
         let problem = Problem::paper_default(0.99);
-        let mut ev = FnEvaluator::new(oracle);
-        let out = exhaustive_search(&problem, &mut ev);
+        let ev = FnEvaluator::new(oracle);
+        let out = exhaustive_search(&problem, &ev, &ExecContext::sequential());
         assert!(out.best.is_none());
         assert_eq!(out.evaluations.len(), 1320);
     }

@@ -26,12 +26,12 @@
 
 use hi_channel::BodyLocation;
 
-use crate::algorithm1::{explore_par_observed, ExploreError, ExploreOptions, Problem};
-use crate::checkpoint::{ExploreCheckpoint, ENGINE_ILP_HEURISTIC};
+use crate::algorithm1::{explore, ExploreError, ExploreOptions, Problem};
+use crate::checkpoint::{validate_resume, ExploreCheckpoint, ENGINE_ILP_HEURISTIC};
 use crate::evaluator::PointEvaluator;
 use crate::milp_encode::MilpEncoding;
 use crate::parallel::ExecContext;
-use crate::robust_milp::{robust_milp_search, run_witness_ladder, validate_resume, RobustOutcome};
+use crate::robust_milp::{robust_milp_search, run_witness_ladder, RobustOutcome};
 use crate::robustness::{RobustnessSpec, DEVIATION_CAP_DB};
 
 /// Runs the restriction-and-repair heuristic (see the
@@ -56,14 +56,8 @@ pub fn ilp_heuristic_search<P: PointEvaluator>(
     observer: &mut dyn FnMut(&ExploreCheckpoint),
 ) -> Result<RobustOutcome, ExploreError> {
     if spec.is_degenerate() {
-        return explore_par_observed(problem, evaluator, options, exec, resume, observer).map(
-            |outcome| RobustOutcome {
-                outcome,
-                nominal_power_mw: None,
-                robust_power_mw: None,
-                repairs: 0,
-            },
-        );
+        return explore(problem, evaluator, options, exec, resume, observer)
+            .map(RobustOutcome::degenerate);
     }
     validate_resume(resume, ENGINE_ILP_HEURISTIC, problem, options)?;
     let constraints = problem.space.constraints();

@@ -17,7 +17,10 @@
 //! * [`explore`] — **Algorithm 1**: the iterative MILP + discrete-event
 //!   simulation loop with power cuts and the α-corrected optimality test;
 //! * [`exhaustive_search`] and [`simulated_annealing`] — the baselines the
-//!   paper compares against.
+//!   paper compares against;
+//! * [`PointEvaluator`] and [`ExecContext`] — the `RunSim` oracle every
+//!   engine measures through and the worker pool it fans out over; a
+//!   sequential run is [`ExecContext::sequential`].
 //!
 //! # Quickstart
 //!
@@ -25,19 +28,21 @@
 //! fast simulation protocol:
 //!
 //! ```
-//! use hi_channel::ChannelParams;
-//! use hi_core::{explore, Problem, SimEvaluator};
+//! use hi_core::{explore, ExecContext, ExploreOptions, Problem, SimProtocol};
 //! use hi_des::SimDuration;
 //!
 //! # fn main() -> Result<(), hi_core::ExploreError> {
 //! let problem = Problem::paper_default(0.70);
-//! let mut evaluator = SimEvaluator::new(
-//!     ChannelParams::default(),
-//!     SimDuration::from_secs(30.0), // paper protocol uses 600 s x 3 runs
-//!     1,
-//!     42,
-//! );
-//! let outcome = explore(&problem, &mut evaluator)?;
+//! // The paper's protocol is 600 s x 3 runs; 30 s x 1 run is a quick look.
+//! let evaluator = SimProtocol::new(SimDuration::from_secs(30.0), 1, 42).shared_evaluator();
+//! let outcome = explore(
+//!     &problem,
+//!     &evaluator,
+//!     ExploreOptions::default(),
+//!     &ExecContext::sequential(), // or ExecContext::new(threads)
+//!     None,                       // no checkpoint to resume from
+//!     &mut |_| (),                // no auto-checkpoint observer
+//! )?;
 //! let (point, eval) = outcome.best.expect("70% is achievable");
 //! println!("optimal: {point} (PDR {:.1}%, {:.1} days)",
 //!          eval.pdr * 100.0, eval.nlt_days);
@@ -70,8 +75,7 @@ mod supervised;
 mod tradeoff;
 
 pub use algorithm1::{
-    explore, explore_par, explore_par_from, explore_par_observed, explore_with_options,
-    ExplorationOutcome, ExploreError, ExploreOptions, Problem, StopReason,
+    explore, ExplorationOutcome, ExploreError, ExploreOptions, Problem, StopReason,
 };
 pub use checkpoint::{
     load_checkpoint_file, load_recovering, CheckpointLoadError, CheckpointRecovery,
@@ -79,11 +83,8 @@ pub use checkpoint::{
 };
 pub use constraints::{DesignSpace, TopologyConstraints};
 pub use crc32::crc32_ieee;
-pub use evaluator::{
-    Evaluation, Evaluator, FnEvaluator, PointEvaluator, SharedSimEvaluator, SimEvaluator,
-    SimProtocol,
-};
-pub use exhaustive::{exhaustive_search, exhaustive_search_par, ExhaustiveOutcome};
+pub use evaluator::{Evaluation, FnEvaluator, PointEvaluator, SharedSimEvaluator, SimProtocol};
+pub use exhaustive::{exhaustive_search, ExhaustiveOutcome};
 pub use hi_exec::{CancelToken, ChaosPolicy, EvalError, RetryPolicy, Supervisor};
 pub use ilp_heuristic::ilp_heuristic_search;
 pub use milp_encode::MilpEncoding;
@@ -96,4 +97,4 @@ pub use robustness::{deviation_power_mw, LinkDeviation, RobustnessSpec, DEVIATIO
 pub use sa::{simulated_annealing, simulated_annealing_restarts, SaOutcome, SaParams};
 pub use suitefile::{parse_fault_suite, SuiteParseError};
 pub use supervised::{supervision_spec, warmup_events_floor, SupervisedEvaluator};
-pub use tradeoff::{explore_tradeoff, explore_tradeoff_par, TradeoffPoint};
+pub use tradeoff::{explore_tradeoff_par, TradeoffPoint};

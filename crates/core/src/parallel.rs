@@ -2,11 +2,12 @@
 //!
 //! [`ExecContext`] bundles the three `hi-exec` pieces — thread pool,
 //! cancellation token and (through [`SharedSimEvaluator`]) the shared
-//! evaluation cache — behind one handle that every batch entry point
-//! (`exhaustive_search_par`, `explore_par`, `simulated_annealing_restarts`,
-//! `explore_tradeoff_par`) accepts. A context built with `threads <= 1`
-//! spawns no pool at all and runs the exact sequential code path, so the
-//! parallel entry points strictly generalize the sequential ones.
+//! evaluation cache — behind one handle that every engine (`explore`,
+//! `exhaustive_search`, `explore_tradeoff_par`,
+//! `simulated_annealing_restarts` and the robust engines) accepts. There
+//! is no separate sequential code path: a context built with
+//! `threads <= 1` spawns no pool at all and evaluates on the calling
+//! thread in input order, and that *is* a sequential run.
 
 use hi_exec::{CancelToken, EvalError, ThreadPool};
 use hi_trace::{wellknown as wk, Collector};
@@ -129,34 +130,9 @@ impl ExecContext {
         }
     }
 
-    /// Evaluates `points` against `evaluator`, returning evaluations in
+    /// Evaluates `points` against `evaluator`, returning results in
     /// input order. `None` marks points skipped after cancellation;
-    /// without cancellation every slot is `Some`, bit-identical for every
-    /// thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first point whose evaluation fails; use
-    /// [`try_eval_points`](Self::try_eval_points) on paths that must
-    /// survive broken points.
-    pub fn eval_points<P: PointEvaluator>(
-        &self,
-        evaluator: &P,
-        points: &[DesignPoint],
-    ) -> Vec<Option<Evaluation>> {
-        self.try_eval_points(evaluator, points)
-            .into_iter()
-            .zip(points)
-            .map(|(slot, point)| {
-                slot.map(|r| match r {
-                    Ok(eval) => eval,
-                    Err(e) => panic!("evaluation of {point} failed: {e}"),
-                })
-            })
-            .collect()
-    }
-
-    /// [`eval_points`](Self::eval_points), hardened: a failing (or
+    /// without cancellation every slot is `Some`. A failing (or
     /// panicking) evaluation degrades to a per-slot [`EvalError`] instead
     /// of aborting the batch. Both execution paths catch panics, so the
     /// slot-level results are bit-identical for every thread count.
@@ -238,10 +214,10 @@ mod tests {
         let run = |threads: usize| {
             let ctx = ExecContext::new(threads);
             let ev = protocol.shared_evaluator();
-            ctx.eval_points(&ev, &points())
+            ctx.try_eval_points(&ev, &points())
         };
         let sequential = run(1);
-        assert!(sequential.iter().all(Option::is_some));
+        assert!(sequential.iter().all(|slot| matches!(slot, Some(Ok(_)))));
         assert_eq!(sequential, run(4));
     }
 
@@ -252,7 +228,7 @@ mod tests {
         ctx.cancel_token().cancel();
         assert!(ctx.is_cancelled());
         let ev = protocol.shared_evaluator();
-        let out = ctx.eval_points(&ev, &points());
+        let out = ctx.try_eval_points(&ev, &points());
         assert!(out.iter().all(Option::is_none));
         assert_eq!(ev.cache_len(), 0);
     }

@@ -467,7 +467,7 @@ mod tests {
             routing: RouteChoice::Star,
         };
         let a = robust.try_eval(&point).unwrap();
-        let b = nominal.try_eval_point(&point).unwrap();
+        let b = nominal.try_eval(&point).unwrap();
         assert_eq!(a.pdr.to_bits(), b.pdr.to_bits());
         assert_eq!(a.nlt_days.to_bits(), b.nlt_days.to_bits());
         assert_eq!(a.power_mw.to_bits(), b.power_mw.to_bits());

@@ -20,14 +20,14 @@
 //! ladder replays into a fresh robust encoding, so checkpoint-and-resume
 //! is bit-identical to a straight-through run. A degenerate
 //! [`RobustnessSpec`] (Γ = 0 or an empty fault suite) delegates to
-//! [`explore_par_observed`] verbatim — nominal behavior, bit for bit.
+//! [`explore`] verbatim — nominal behavior, bit for bit.
 
 use hi_trace::wellknown as wk;
 
 use crate::algorithm1::{
-    explore_par_observed, ExplorationOutcome, ExploreError, ExploreOptions, Problem, StopReason,
+    explore, ExplorationOutcome, ExploreError, ExploreOptions, Problem, StopReason,
 };
-use crate::checkpoint::{ExploreCheckpoint, ENGINE_ROBUST_MILP};
+use crate::checkpoint::{validate_resume, ExploreCheckpoint, ENGINE_ROBUST_MILP};
 use crate::evaluator::PointEvaluator;
 use crate::milp_encode::MilpEncoding;
 use crate::parallel::ExecContext;
@@ -56,7 +56,7 @@ pub struct RobustOutcome {
 
 impl RobustOutcome {
     /// Wraps a plain exploration outcome (degenerate-spec delegation).
-    fn degenerate(outcome: ExplorationOutcome) -> Self {
+    pub(crate) fn degenerate(outcome: ExplorationOutcome) -> Self {
         Self {
             outcome,
             nominal_power_mw: None,
@@ -64,34 +64,6 @@ impl RobustOutcome {
             repairs: 0,
         }
     }
-}
-
-/// Validates a resume checkpoint against the engine about to continue it.
-pub(crate) fn validate_resume(
-    resume: Option<&ExploreCheckpoint>,
-    engine: &str,
-    problem: &Problem,
-    options: ExploreOptions,
-) -> Result<(), ExploreError> {
-    let Some(cp) = resume else { return Ok(()) };
-    if cp.engine != engine {
-        return Err(ExploreError::Checkpoint(format!(
-            "checkpoint was recorded by engine `{}`, this run uses `{engine}`",
-            cp.engine
-        )));
-    }
-    if cp.pdr_min.to_bits() != problem.pdr_min.to_bits() {
-        return Err(ExploreError::Checkpoint(format!(
-            "checkpoint was recorded at pdr_min = {}, this run uses {}",
-            cp.pdr_min, problem.pdr_min
-        )));
-    }
-    if cp.alpha_correction != options.alpha_correction {
-        return Err(ExploreError::Checkpoint(
-            "checkpoint and this run disagree on alpha_correction".into(),
-        ));
-    }
-    Ok(())
 }
 
 /// The witness ladder shared by both robust engines.
@@ -243,7 +215,7 @@ pub(crate) fn run_witness_ladder<P: PointEvaluator>(
 
 /// Runs the Γ-robust MILP engine (see the [module docs](self)).
 ///
-/// A degenerate `spec` delegates to [`explore_par_observed`] bit for bit.
+/// A degenerate `spec` delegates to [`explore`] bit for bit.
 /// The ladder accepts the first witness whose (evaluator-aggregated)
 /// evaluation clears `problem.pdr_min` — put a worst-case
 /// [`RobustEvaluator`](crate::RobustEvaluator) behind `evaluator` to make
@@ -264,7 +236,7 @@ pub fn robust_milp_search<P: PointEvaluator>(
     observer: &mut dyn FnMut(&ExploreCheckpoint),
 ) -> Result<RobustOutcome, ExploreError> {
     if spec.is_degenerate() {
-        return explore_par_observed(problem, evaluator, options, exec, resume, observer)
+        return explore(problem, evaluator, options, exec, resume, observer)
             .map(RobustOutcome::degenerate);
     }
     validate_resume(resume, ENGINE_ROBUST_MILP, problem, options)?;

@@ -11,7 +11,7 @@ use hi_des::rng;
 use hi_net::TxPower;
 
 use crate::algorithm1::Problem;
-use crate::evaluator::{Evaluation, Evaluator, SharedSimEvaluator};
+use crate::evaluator::{Evaluation, PointEvaluator};
 use crate::exhaustive::improves;
 use crate::parallel::ExecContext;
 use crate::point::{DesignPoint, MacChoice, Placement, RouteChoice};
@@ -51,14 +51,20 @@ pub struct SaOutcome {
     pub simulations: u64,
 }
 
-/// Runs simulated annealing on `problem`.
+/// Runs simulated annealing on `problem` (one chain, on the calling
+/// thread).
+///
+/// A state whose evaluation fails has infinite energy, so a move to it
+/// is always rejected — the same per-point degradation the other engines
+/// apply — and the chain's random stream is consumed exactly as for any
+/// other rejected move.
 ///
 /// # Panics
 ///
 /// Panics if the problem's design space is empty.
-pub fn simulated_annealing(
+pub fn simulated_annealing<P: PointEvaluator>(
     problem: &Problem,
-    evaluator: &mut dyn Evaluator,
+    evaluator: &P,
     params: SaParams,
     seed: u64,
 ) -> SaOutcome {
@@ -75,6 +81,10 @@ pub fn simulated_annealing(
             e.power_mw + params.penalty_mw * (problem.pdr_min - e.pdr)
         }
     };
+    let measure = |point: &DesignPoint| -> (Option<Evaluation>, f64) {
+        let eval = evaluator.try_eval(point).ok();
+        (eval, eval.as_ref().map_or(f64::INFINITY, energy))
+    };
 
     // Random feasible starting state.
     let mut current = DesignPoint {
@@ -83,24 +93,22 @@ pub fn simulated_annealing(
         mac: MacChoice::ALL[rng.gen_range(0..2)],
         routing: RouteChoice::ALL[rng.gen_range(0..2)],
     };
-    let mut current_eval = evaluator.evaluate(&current);
-    let mut current_energy = energy(&current_eval);
-
-    let mut best: Option<(DesignPoint, Evaluation)> = feasible(problem, current, current_eval);
+    let (current_eval, mut current_energy) = measure(&current);
+    let mut best: Option<(DesignPoint, Evaluation)> =
+        current_eval.and_then(|eval| feasible(problem, current, eval));
 
     let cooling = (params.t_end / params.t_start).powf(1.0 / params.steps.max(1) as f64);
     let mut temperature = params.t_start;
     for _ in 0..params.steps {
         let candidate = neighbor(&current, &constraints, &mut rng);
-        let eval = evaluator.evaluate(&candidate);
-        let e = energy(&eval);
+        let (eval, e) = measure(&candidate);
         let accept =
             e < current_energy || rng.gen_f64() < ((current_energy - e) / temperature).exp();
-        if accept {
+        // An accepted move has finite energy, so its evaluation succeeded.
+        if let (true, Some(eval)) = (accept, eval) {
             current = candidate;
-            current_eval = eval;
             current_energy = e;
-            if let Some(fb) = feasible(problem, current, current_eval) {
+            if let Some(fb) = feasible(problem, current, eval) {
                 let better = best
                     .as_ref()
                     .is_none_or(|(_, b)| fb.1.power_mw < b.power_mw);
@@ -139,9 +147,9 @@ pub fn simulated_annealing(
 /// # Panics
 ///
 /// Panics if `restarts == 0` or the problem's design space is empty.
-pub fn simulated_annealing_restarts(
+pub fn simulated_annealing_restarts<P: PointEvaluator>(
     problem: &Problem,
-    evaluator: &SharedSimEvaluator,
+    evaluator: &P,
     params: SaParams,
     base_seed: u64,
     restarts: u32,
@@ -156,8 +164,7 @@ pub fn simulated_annealing_restarts(
         let problem = problem.clone();
         let evaluator = evaluator.clone();
         exec.map_cancellable(seeds, move |seed| {
-            let mut ev = evaluator.clone();
-            simulated_annealing(&problem, &mut ev, params, seed).best
+            simulated_annealing(&problem, &evaluator, params, seed).best
         })
     };
     let mut best: Option<(DesignPoint, Evaluation)> = None;
@@ -257,8 +264,8 @@ mod tests {
     #[test]
     fn finds_a_feasible_solution() {
         let problem = Problem::paper_default(0.9);
-        let mut ev = FnEvaluator::new(oracle);
-        let out = simulated_annealing(&problem, &mut ev, SaParams::default(), 3);
+        let ev = FnEvaluator::new(oracle);
+        let out = simulated_annealing(&problem, &ev, SaParams::default(), 3);
         let (pt, e) = out.best.expect("SA should find a feasible point");
         assert!(e.pdr >= 0.9);
         assert_eq!(pt.tx_power, TxPower::ZeroDbm);
@@ -268,10 +275,10 @@ mod tests {
     fn converges_to_cheapest_feasible_class() {
         // With enough steps SA should land on the 4-node 0 dBm star.
         let problem = Problem::paper_default(0.9);
-        let mut ev = FnEvaluator::new(oracle);
+        let ev = FnEvaluator::new(oracle);
         let out = simulated_annealing(
             &problem,
-            &mut ev,
+            &ev,
             SaParams {
                 steps: 2000,
                 ..Default::default()
@@ -288,26 +295,53 @@ mod tests {
     fn respects_constraints_during_search() {
         let problem = Problem::paper_default(0.5);
         let constraints = problem.space.constraints().clone();
-        let mut ev = FnEvaluator::new(move |p: &DesignPoint| {
+        let ev = FnEvaluator::new(move |p: &DesignPoint| {
             assert!(
                 constraints.is_satisfied(p.placement),
                 "SA evaluated infeasible placement {p}"
             );
             oracle(p)
         });
-        let _ = simulated_annealing(&problem, &mut ev, SaParams::default(), 9);
+        let _ = simulated_annealing(&problem, &ev, SaParams::default(), 9);
     }
 
     #[test]
     fn deterministic_per_seed() {
         let problem = Problem::paper_default(0.7);
         let run = |seed| {
-            let mut ev = FnEvaluator::new(oracle);
-            simulated_annealing(&problem, &mut ev, SaParams::default(), seed)
+            let ev = FnEvaluator::new(oracle);
+            simulated_annealing(&problem, &ev, SaParams::default(), seed)
                 .best
                 .map(|(p, _)| p)
         };
         assert_eq!(run(5), run(5));
+    }
+
+    #[test]
+    fn failed_evaluations_are_rejected_moves() {
+        // Every mesh state fails to evaluate: the chain must run to the
+        // end and elect a star, never a failed state.
+        #[derive(Clone)]
+        struct MeshFails(FnEvaluator<fn(&DesignPoint) -> Evaluation>);
+        impl PointEvaluator for MeshFails {
+            fn try_eval(&self, p: &DesignPoint) -> Result<Evaluation, hi_exec::EvalError> {
+                if p.routing == RouteChoice::Mesh {
+                    return Err(hi_exec::EvalError::new(format!("{p} failed")));
+                }
+                self.0.try_eval(p)
+            }
+            fn unique_evaluations(&self) -> u64 {
+                self.0.unique_evaluations()
+            }
+        }
+        let problem = Problem::paper_default(0.9);
+        let ev = MeshFails(FnEvaluator::new(oracle as fn(&DesignPoint) -> Evaluation));
+        for seed in [3, 11] {
+            let out = simulated_annealing(&problem, &ev, SaParams::default(), seed);
+            let (pt, e) = out.best.expect("star states stay reachable");
+            assert_eq!(pt.routing, RouteChoice::Star);
+            assert!(e.pdr >= 0.9);
+        }
     }
 
     #[test]
@@ -316,11 +350,19 @@ mod tests {
         // optimum. With memoized oracles, compare unique evaluations.
         let problem = Problem::paper_default(0.9);
 
-        let mut sa_ev = FnEvaluator::new(oracle);
-        let sa = simulated_annealing(&problem, &mut sa_ev, SaParams::default(), 1);
+        let sa_ev = FnEvaluator::new(oracle);
+        let sa = simulated_annealing(&problem, &sa_ev, SaParams::default(), 1);
 
-        let mut a1_ev = FnEvaluator::new(oracle);
-        let a1 = crate::algorithm1::explore(&problem, &mut a1_ev).unwrap();
+        let a1_ev = FnEvaluator::new(oracle);
+        let a1 = crate::algorithm1::explore(
+            &problem,
+            &a1_ev,
+            crate::ExploreOptions::default(),
+            &ExecContext::sequential(),
+            None,
+            &mut |_| (),
+        )
+        .unwrap();
 
         assert_eq!(
             sa.best.as_ref().map(|(_, e)| e.power_mw),

@@ -5,12 +5,12 @@
 //! `PDRmin`?". Designers usually want the whole frontier: how the
 //! architecture migrates (weak star → strong star → mesh → bigger mesh)
 //! as the floor rises, and what each step costs in lifetime.
-//! [`explore_tradeoff`] runs Algorithm 1 per floor against a *shared*
+//! [`explore_tradeoff_par`] runs Algorithm 1 per floor against a *shared*
 //! memoizing evaluator, so the sweep costs barely more than its most
 //! demanding floor.
 
-use crate::algorithm1::{explore, explore_par, ExploreError, ExploreOptions, Problem, StopReason};
-use crate::evaluator::{Evaluation, Evaluator, PointEvaluator};
+use crate::algorithm1::{explore, ExploreError, ExploreOptions, Problem, StopReason};
+use crate::evaluator::{Evaluation, PointEvaluator};
 use crate::parallel::ExecContext;
 use crate::point::DesignPoint;
 
@@ -28,68 +28,6 @@ pub struct TradeoffPoint {
     pub stop_reason: StopReason,
 }
 
-/// Runs Algorithm 1 for every floor in `floors` (any order), sharing
-/// `evaluator`'s cache across floors. Results are returned in the given
-/// floor order.
-///
-/// # Errors
-///
-/// Propagates the first [`ExploreError`].
-///
-/// # Panics
-///
-/// Panics if a floor lies outside `[0, 1]`.
-///
-/// # Examples
-///
-/// ```
-/// use hi_core::{explore_tradeoff, power, DesignPoint, Evaluation,
-///               FnEvaluator, Problem};
-/// use hi_net::AppParams;
-///
-/// # fn main() -> Result<(), hi_core::ExploreError> {
-/// let app = AppParams::default();
-/// let mut oracle = FnEvaluator::new(move |p: &DesignPoint| {
-///     let power = power::analytic_power_mw(p, &app);
-///     Evaluation { pdr: 0.9, nlt_days: 2430.0 / power / 86.4, power_mw: power,
-///                  latency_ms: 4.0 }
-/// });
-/// let problem = Problem::paper_default(0.5);
-/// let sweep = explore_tradeoff(&problem, &[0.5, 0.8], &mut oracle)?;
-/// assert_eq!(sweep.len(), 2);
-/// assert!(sweep.iter().all(|t| t.best.is_some()));
-/// # Ok(())
-/// # }
-/// ```
-pub fn explore_tradeoff(
-    template: &Problem,
-    floors: &[f64],
-    evaluator: &mut dyn Evaluator,
-) -> Result<Vec<TradeoffPoint>, ExploreError> {
-    let mut out: Vec<TradeoffPoint> = Vec::with_capacity(floors.len());
-    for &floor in floors {
-        assert!((0.0..=1.0).contains(&floor), "floor {floor} outside [0, 1]");
-        if let Some(echo) = echo_duplicate_floor(&out, floor) {
-            out.push(echo);
-            continue;
-        }
-        let problem = Problem {
-            space: template.space.clone(),
-            pdr_min: floor,
-            app: template.app,
-        };
-        let before = evaluator.unique_evaluations();
-        let outcome = explore(&problem, evaluator)?;
-        out.push(TradeoffPoint {
-            pdr_min: floor,
-            best: outcome.best,
-            new_simulations: evaluator.unique_evaluations() - before,
-            stop_reason: outcome.stop_reason,
-        });
-    }
-    Ok(out)
-}
-
 /// The answer for `floor` when it bit-equals the floor just swept:
 /// Algorithm 1 is deterministic, so a repeated adjacent floor would
 /// redo the whole MILP ladder only to rediscover the same optimum from
@@ -103,11 +41,10 @@ fn echo_duplicate_floor(swept: &[TradeoffPoint], floor: f64) -> Option<TradeoffP
     })
 }
 
-/// [`explore_tradeoff`] on the execution engine: floors run in the given
-/// order (each floor's candidate levels fan out over `exec`'s pool) and
-/// all floors share `evaluator`'s cache, exactly like the sequential
-/// sweep shares its memoized evaluator. Results are bit-identical for
-/// every thread count.
+/// Runs Algorithm 1 for every floor in `floors` (any order), sharing
+/// `evaluator`'s cache across floors. Results are returned in the given
+/// floor order. Each floor's candidate levels fan out over `exec`'s pool,
+/// and results are bit-identical for every thread count.
 ///
 /// If `exec` is cancelled, the remaining floors are skipped and the sweep
 /// returns the floors finished so far (the cancelled floor reports
@@ -120,6 +57,29 @@ fn echo_duplicate_floor(swept: &[TradeoffPoint], floor: f64) -> Option<TradeoffP
 /// # Panics
 ///
 /// Panics if a floor lies outside `[0, 1]`.
+///
+/// # Examples
+///
+/// ```
+/// use hi_core::{explore_tradeoff_par, power, DesignPoint, Evaluation, ExecContext,
+///               FnEvaluator, Problem};
+/// use hi_net::AppParams;
+///
+/// # fn main() -> Result<(), hi_core::ExploreError> {
+/// let app = AppParams::default();
+/// let oracle = FnEvaluator::new(move |p: &DesignPoint| {
+///     let power = power::analytic_power_mw(p, &app);
+///     Evaluation { pdr: 0.9, nlt_days: 2430.0 / power / 86.4, power_mw: power,
+///                  latency_ms: 4.0 }
+/// });
+/// let problem = Problem::paper_default(0.5);
+/// let exec = ExecContext::sequential();
+/// let sweep = explore_tradeoff_par(&problem, &[0.5, 0.8], &oracle, &exec)?;
+/// assert_eq!(sweep.len(), 2);
+/// assert!(sweep.iter().all(|t| t.best.is_some()));
+/// # Ok(())
+/// # }
+/// ```
 pub fn explore_tradeoff_par<P: PointEvaluator>(
     template: &Problem,
     floors: &[f64],
@@ -142,7 +102,14 @@ pub fn explore_tradeoff_par<P: PointEvaluator>(
             app: template.app,
         };
         let before = evaluator.unique_evaluations();
-        let outcome = explore_par(&problem, evaluator, ExploreOptions::default(), exec)?;
+        let outcome = explore(
+            &problem,
+            evaluator,
+            ExploreOptions::default(),
+            exec,
+            None,
+            &mut |_| (),
+        )?;
         out.push(TradeoffPoint {
             pdr_min: floor,
             best: outcome.best,
@@ -159,7 +126,10 @@ mod tests {
     use crate::evaluator::FnEvaluator;
     use crate::point::RouteChoice;
     use crate::power::analytic_power_mw;
+    use hi_exec::EvalError;
     use hi_net::{AppParams, TxPower};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn ladder_oracle(point: &DesignPoint) -> Evaluation {
         let app = AppParams::default();
@@ -182,11 +152,15 @@ mod tests {
         }
     }
 
+    fn sweep<P: PointEvaluator>(floors: &[f64], evaluator: &P) -> Vec<TradeoffPoint> {
+        let template = Problem::paper_default(0.5);
+        explore_tradeoff_par(&template, floors, evaluator, &ExecContext::sequential()).unwrap()
+    }
+
     #[test]
     fn lifetime_is_monotone_in_the_floor() {
-        let template = Problem::paper_default(0.5);
-        let mut ev = FnEvaluator::new(ladder_oracle);
-        let sweep = explore_tradeoff(&template, &[0.4, 0.6, 0.9, 0.98], &mut ev).unwrap();
+        let ev = FnEvaluator::new(ladder_oracle);
+        let sweep = sweep(&[0.4, 0.6, 0.9, 0.98], &ev);
         let nlts: Vec<f64> = sweep
             .iter()
             .map(|t| t.best.as_ref().expect("feasible").1.nlt_days)
@@ -199,9 +173,8 @@ mod tests {
 
     #[test]
     fn shared_cache_makes_later_floors_cheap() {
-        let template = Problem::paper_default(0.5);
-        let mut ev = FnEvaluator::new(ladder_oracle);
-        let sweep = explore_tradeoff(&template, &[0.9, 0.9], &mut ev).unwrap();
+        let ev = FnEvaluator::new(ladder_oracle);
+        let sweep = sweep(&[0.9, 0.9], &ev);
         assert!(sweep[0].new_simulations > 0);
         assert_eq!(sweep[1].new_simulations, 0, "second pass fully cached");
     }
@@ -209,56 +182,59 @@ mod tests {
     #[test]
     fn duplicate_adjacent_floors_echo_without_dispatching() {
         // Counts *every* evaluator query, cache hits included: a deduped
-        // duplicate floor must not even re-walk the MILP ladder.
+        // duplicate floor must not even re-walk the MILP ladder. The
+        // count is the same on one worker and on several.
+        #[derive(Clone)]
         struct Counting {
             inner: FnEvaluator<fn(&DesignPoint) -> Evaluation>,
-            queries: u64,
+            queries: Arc<AtomicU64>,
         }
-        impl Evaluator for Counting {
-            fn evaluate(&mut self, point: &DesignPoint) -> Evaluation {
-                self.queries += 1;
-                self.inner.evaluate(point)
+        impl PointEvaluator for Counting {
+            fn try_eval(&self, point: &DesignPoint) -> Result<Evaluation, EvalError> {
+                self.queries.fetch_add(1, Ordering::Relaxed);
+                self.inner.try_eval(point)
             }
             fn unique_evaluations(&self) -> u64 {
                 self.inner.unique_evaluations()
             }
         }
         let template = Problem::paper_default(0.5);
-        let mut ev = Counting {
-            inner: FnEvaluator::new(ladder_oracle as fn(&DesignPoint) -> Evaluation),
-            queries: 0,
+        let run = |floors: &[f64], threads: usize| {
+            let ev = Counting {
+                inner: FnEvaluator::new(ladder_oracle as fn(&DesignPoint) -> Evaluation),
+                queries: Arc::default(),
+            };
+            let exec = ExecContext::new(threads);
+            let sweep = explore_tradeoff_par(&template, floors, &ev, &exec).unwrap();
+            (sweep, ev.queries.load(Ordering::Relaxed))
         };
-        let lone = explore_tradeoff(&template, &[0.9], &mut ev).unwrap();
-        let queries_for_one = ev.queries;
-        let mut ev = Counting {
-            inner: FnEvaluator::new(ladder_oracle as fn(&DesignPoint) -> Evaluation),
-            queries: 0,
-        };
-        let sweep = explore_tradeoff(&template, &[0.9, 0.9, 0.9], &mut ev).unwrap();
-        assert_eq!(ev.queries, queries_for_one, "duplicates dispatched work");
-        assert_eq!(sweep.len(), 3);
-        for point in &sweep[1..] {
-            assert_eq!(point.new_simulations, 0);
-            assert_eq!(point.best, lone[0].best);
-            assert_eq!(point.stop_reason, lone[0].stop_reason);
+        let (lone, queries_for_one) = run(&[0.9], 1);
+        for threads in [1, 4] {
+            let (sweep, queries) = run(&[0.9, 0.9, 0.9], threads);
+            assert_eq!(queries, queries_for_one, "duplicates dispatched work");
+            assert_eq!(sweep.len(), 3);
+            for point in &sweep[1..] {
+                assert_eq!(point.new_simulations, 0);
+                assert_eq!(point.best, lone[0].best);
+                assert_eq!(point.stop_reason, lone[0].stop_reason);
+            }
         }
         // Non-adjacent repeats still re-sweep (cheaply, via the cache):
         // only *adjacent* duplicates are textual duplicates of intent.
-        let mut ev = FnEvaluator::new(ladder_oracle);
-        let sweep = explore_tradeoff(&template, &[0.9, 0.6, 0.9], &mut ev).unwrap();
+        let ev = FnEvaluator::new(ladder_oracle);
+        let sweep = sweep(&[0.9, 0.6, 0.9], &ev);
         assert_eq!(sweep[2].new_simulations, 0, "cache still covers repeats");
         assert_eq!(sweep[2].best, sweep[0].best);
     }
 
     #[test]
     fn infeasible_floor_reported() {
-        let template = Problem::paper_default(0.5);
-        let mut ev = FnEvaluator::new(|p: &DesignPoint| {
+        let ev = FnEvaluator::new(|p: &DesignPoint| {
             let mut e = ladder_oracle(p);
             e.pdr = e.pdr.min(0.98);
             e
         });
-        let sweep = explore_tradeoff(&template, &[0.99], &mut ev).unwrap();
+        let sweep = sweep(&[0.99], &ev);
         assert!(sweep[0].best.is_none());
         assert_eq!(sweep[0].stop_reason, StopReason::MilpExhausted);
     }
@@ -266,8 +242,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside [0, 1]")]
     fn floors_validated() {
-        let template = Problem::paper_default(0.5);
-        let mut ev = FnEvaluator::new(ladder_oracle);
-        let _ = explore_tradeoff(&template, &[1.5], &mut ev);
+        let ev = FnEvaluator::new(ladder_oracle);
+        let _ = sweep(&[1.5], &ev);
     }
 }

@@ -7,10 +7,9 @@
 //! compare outcomes field by field.
 
 use hi_core::{
-    exhaustive_search, exhaustive_search_par, explore_par, explore_par_from, explore_tradeoff_par,
-    simulated_annealing_restarts, DesignPoint, EvalError, Evaluation, ExecContext,
-    ExhaustiveOutcome, ExploreCheckpoint, ExploreError, ExploreOptions, PointEvaluator, Problem,
-    SaParams, SimProtocol, StopReason,
+    exhaustive_search, explore, explore_tradeoff_par, simulated_annealing_restarts, DesignPoint,
+    EvalError, Evaluation, ExecContext, ExhaustiveOutcome, ExplorationOutcome, ExploreCheckpoint,
+    ExploreError, ExploreOptions, PointEvaluator, Problem, SaParams, SimProtocol, StopReason,
 };
 use hi_des::SimDuration;
 
@@ -18,6 +17,16 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn protocol() -> SimProtocol {
     SimProtocol::new(SimDuration::from_secs(2.0), 1, 20_260_806)
+}
+
+/// Algorithm 1 without a checkpoint to resume or an observer.
+fn explore_run<P: PointEvaluator>(
+    problem: &Problem,
+    evaluator: &P,
+    options: ExploreOptions,
+    exec: &ExecContext,
+) -> Result<ExplorationOutcome, ExploreError> {
+    explore(problem, evaluator, options, exec, None, &mut |_| ())
 }
 
 fn assert_same_best(a: &Option<(DesignPoint, Evaluation)>, b: &Option<(DesignPoint, Evaluation)>) {
@@ -37,7 +46,7 @@ fn exhaustive_search_is_bit_identical_across_thread_counts() {
     let run = |threads: usize| -> ExhaustiveOutcome {
         let exec = ExecContext::new(threads);
         let evaluator = protocol().shared_evaluator();
-        exhaustive_search_par(&problem, &evaluator, &exec)
+        exhaustive_search(&problem, &evaluator, &exec)
     };
     let baseline = run(1);
     assert!(baseline.best.is_some(), "70% floor must be feasible");
@@ -57,17 +66,29 @@ fn exhaustive_search_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn parallel_exhaustive_matches_the_sequential_engine() {
+    // The sequential engine is the one-worker context. Against a flaky
+    // evaluator it must exclude and count exactly the failures a pool
+    // run does, and keep every healthy evaluation bit for bit.
     let problem = Problem::paper_default(0.7);
-    let mut sequential_eval = protocol().evaluator();
-    let sequential = exhaustive_search(&problem, &mut sequential_eval);
+    let run = |exec: ExecContext| {
+        let flaky = FlakyEvaluator {
+            inner: protocol().shared_evaluator(),
+        };
+        exhaustive_search(&problem, &flaky, &exec)
+    };
+    let sequential = run(ExecContext::sequential());
+    let parallel = run(ExecContext::new(4));
 
-    let exec = ExecContext::new(4);
-    let evaluator = protocol().shared_evaluator();
-    let parallel = exhaustive_search_par(&problem, &evaluator, &exec);
-
+    assert!(sequential.eval_errors > 0, "injected failures must count");
+    assert_eq!(
+        sequential.evaluations.len() as u64 + sequential.eval_errors,
+        problem.space.points().len() as u64,
+        "every point is either evaluated or counted as failed"
+    );
     assert_same_best(&sequential.best, &parallel.best);
     assert_eq!(sequential.evaluations, parallel.evaluations);
     assert_eq!(sequential.simulations, parallel.simulations);
+    assert_eq!(sequential.eval_errors, parallel.eval_errors);
 }
 
 #[test]
@@ -76,7 +97,7 @@ fn algorithm1_is_bit_identical_across_thread_counts() {
     let run = |threads: usize| {
         let exec = ExecContext::new(threads);
         let evaluator = protocol().shared_evaluator();
-        explore_par(&problem, &evaluator, ExploreOptions::default(), &exec)
+        explore_run(&problem, &evaluator, ExploreOptions::default(), &exec)
             .expect("exploration succeeds")
     };
     let baseline = run(1);
@@ -148,10 +169,10 @@ fn engines_share_one_cache_so_a_second_engine_is_free() {
     let exec = ExecContext::new(2);
     let evaluator = protocol().shared_evaluator();
 
-    let sweep = exhaustive_search_par(&problem, &evaluator, &exec);
+    let sweep = exhaustive_search(&problem, &evaluator, &exec);
     assert!(sweep.simulations > 0);
 
-    let explored = explore_par(&problem, &evaluator, ExploreOptions::default(), &exec)
+    let explored = explore_run(&problem, &evaluator, ExploreOptions::default(), &exec)
         .expect("exploration succeeds");
     assert_eq!(
         explored.simulations, 0,
@@ -166,8 +187,8 @@ fn cache_hit_accounting_is_thread_count_invariant() {
     let run = |threads: usize| {
         let exec = ExecContext::new(threads);
         let evaluator = protocol().shared_evaluator();
-        let _ = exhaustive_search_par(&problem, &evaluator, &exec);
-        let _ = exhaustive_search_par(&problem, &evaluator, &exec);
+        let _ = exhaustive_search(&problem, &evaluator, &exec);
+        let _ = exhaustive_search(&problem, &evaluator, &exec);
         (
             evaluator.unique_evaluations(),
             evaluator.cache_hits(),
@@ -200,7 +221,7 @@ impl PointEvaluator for CancellingEvaluator {
     fn try_eval(&self, point: &DesignPoint) -> Result<Evaluation, EvalError> {
         use std::sync::atomic::Ordering;
         let n = self.count.fetch_add(1, Ordering::SeqCst) + 1;
-        let result = self.inner.try_eval_point(point);
+        let result = self.inner.try_eval(point);
         if n >= self.cancel_after {
             self.token.cancel();
         }
@@ -224,7 +245,7 @@ fn mid_level_cancellation_discards_the_partial_level() {
         budget: Some(1),
         ..ExploreOptions::default()
     };
-    let after_level1 = explore_par(&problem, &evaluator, options, &exec).unwrap();
+    let after_level1 = explore_run(&problem, &evaluator, options, &exec).unwrap();
     assert_eq!(after_level1.stop_reason, StopReason::BudgetExhausted);
     assert_eq!(after_level1.iterations, 1);
     let level1_sims = after_level1.simulations;
@@ -240,7 +261,7 @@ fn mid_level_cancellation_discards_the_partial_level() {
         count: std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0)),
         token: exec.cancel_token(),
     };
-    let cancelled = explore_par(&problem, &cancelling, ExploreOptions::default(), &exec).unwrap();
+    let cancelled = explore_run(&problem, &cancelling, ExploreOptions::default(), &exec).unwrap();
     assert_eq!(cancelled.stop_reason, StopReason::Cancelled);
     assert_eq!(cancelled.iterations, 2, "cancel fired during level 2");
     assert_same_best(&after_level1.best, &cancelled.best);
@@ -256,7 +277,7 @@ fn budget_zero_stops_immediately_with_best_so_far_none() {
         budget: Some(0),
         ..ExploreOptions::default()
     };
-    let out = explore_par(&problem, &evaluator, options, &exec).unwrap();
+    let out = explore_run(&problem, &evaluator, options, &exec).unwrap();
     assert_eq!(out.stop_reason, StopReason::BudgetExhausted);
     assert_eq!(out.iterations, 0);
     assert_eq!(out.simulations, 0);
@@ -273,7 +294,7 @@ fn ample_budget_changes_nothing() {
             budget,
             ..ExploreOptions::default()
         };
-        explore_par(&problem, &evaluator, options, &exec).unwrap()
+        explore_run(&problem, &evaluator, options, &exec).unwrap()
     };
     let unlimited = run(None);
     let generous = run(Some(1_000_000));
@@ -291,7 +312,7 @@ fn checkpoint_resume_is_bit_identical_to_a_straight_through_run() {
     // The uninterrupted reference run.
     let exec = ExecContext::new(2);
     let evaluator = protocol().shared_evaluator();
-    let straight = explore_par(&problem, &evaluator, ExploreOptions::default(), &exec).unwrap();
+    let straight = explore_run(&problem, &evaluator, ExploreOptions::default(), &exec).unwrap();
     assert!(
         straight.iterations >= 2,
         "need at least two levels to interrupt between"
@@ -304,7 +325,7 @@ fn checkpoint_resume_is_bit_identical_to_a_straight_through_run() {
         budget: Some(1),
         ..ExploreOptions::default()
     };
-    let partial = explore_par(&problem, &evaluator, options, &exec).unwrap();
+    let partial = explore_run(&problem, &evaluator, options, &exec).unwrap();
     assert_eq!(partial.stop_reason, StopReason::BudgetExhausted);
 
     // ... serialize the exploration state through the text format ...
@@ -316,12 +337,13 @@ fn checkpoint_resume_is_bit_identical_to_a_straight_through_run() {
     // straight-through run bit for bit.
     let exec = ExecContext::new(2);
     let evaluator = protocol().shared_evaluator();
-    let resumed = explore_par_from(
+    let resumed = explore(
         &problem,
         &evaluator,
         ExploreOptions::default(),
         &exec,
         Some(&restored),
+        &mut |_| (),
     )
     .unwrap();
     assert_same_best(&straight.best, &resumed.best);
@@ -342,18 +364,19 @@ fn resume_rejects_a_checkpoint_from_a_different_problem() {
             budget: Some(1),
             ..ExploreOptions::default()
         };
-        explore_par(&problem, &evaluator, options, &exec).unwrap()
+        explore_run(&problem, &evaluator, options, &exec).unwrap()
     };
     let checkpoint = ExploreCheckpoint::from_outcome(0.7, true, &partial);
     let other = Problem::paper_default(0.9);
     let exec = ExecContext::sequential();
     let evaluator = protocol().shared_evaluator();
-    let err = explore_par_from(
+    let err = explore(
         &other,
         &evaluator,
         ExploreOptions::default(),
         &exec,
         Some(&checkpoint),
+        &mut |_| (),
     )
     .unwrap_err();
     assert!(matches!(err, ExploreError::Checkpoint(_)), "got {err:?}");
@@ -371,7 +394,7 @@ impl PointEvaluator for FlakyEvaluator {
         if point.fingerprint().is_multiple_of(5) {
             return Err(EvalError::new(format!("injected failure for {point}")));
         }
-        self.inner.try_eval_point(point)
+        self.inner.try_eval(point)
     }
 
     fn unique_evaluations(&self) -> u64 {
@@ -387,7 +410,7 @@ fn failed_evaluations_degrade_per_point_and_stay_deterministic() {
         let flaky = FlakyEvaluator {
             inner: protocol().shared_evaluator(),
         };
-        explore_par(&problem, &flaky, ExploreOptions::default(), &exec)
+        explore_run(&problem, &flaky, ExploreOptions::default(), &exec)
             .expect("errors must degrade, not abort")
     };
     let baseline = run(1);
@@ -423,7 +446,7 @@ fn robust_exploration_is_bit_identical_across_thread_counts() {
     let run = |threads: usize| {
         let exec = ExecContext::new(threads);
         let evaluator = RobustEvaluator::new(protocol(), suite.clone(), RobustMode::WorstCase);
-        explore_par(&problem, &evaluator, ExploreOptions::default(), &exec)
+        explore_run(&problem, &evaluator, ExploreOptions::default(), &exec)
             .expect("robust exploration succeeds")
     };
     let baseline = run(1);
@@ -446,7 +469,7 @@ fn tracing_never_perturbs_exploration_results() {
         let exec = ExecContext::new(threads).with_collector(collector.clone());
         let _main = collector.install(0, 0);
         let evaluator = protocol().shared_evaluator();
-        explore_par(&problem, &evaluator, ExploreOptions::default(), &exec)
+        explore_run(&problem, &evaluator, ExploreOptions::default(), &exec)
             .expect("exploration succeeds")
     };
     let untraced = run(1, hi_trace::Collector::disabled());
@@ -480,7 +503,7 @@ fn traced_event_layout_is_thread_count_invariant() {
         {
             let _main = collector.install(0, 0);
             let evaluator = protocol().shared_evaluator();
-            explore_par(&problem, &evaluator, ExploreOptions::default(), &exec)
+            explore_run(&problem, &evaluator, ExploreOptions::default(), &exec)
                 .expect("exploration succeeds");
         }
         collector
@@ -513,13 +536,13 @@ fn supervised_chaos_free_exploration_is_bit_identical_to_unsupervised() {
     let plain = {
         let exec = ExecContext::new(2);
         let evaluator = protocol().shared_evaluator();
-        explore_par(&problem, &evaluator, ExploreOptions::default(), &exec).unwrap()
+        explore_run(&problem, &evaluator, ExploreOptions::default(), &exec).unwrap()
     };
     for threads in THREAD_COUNTS {
         let exec = ExecContext::new(threads);
         let supervised =
             SupervisedEvaluator::new(protocol().shared_evaluator(), Supervisor::default());
-        let outcome = explore_par(&problem, &supervised, ExploreOptions::default(), &exec).unwrap();
+        let outcome = explore_run(&problem, &supervised, ExploreOptions::default(), &exec).unwrap();
         assert_eq!(
             plain, outcome,
             "{threads} threads diverged under supervision"
@@ -534,7 +557,7 @@ fn supervised_chaos_free_exploration_is_bit_identical_to_unsupervised() {
             protocol().shared_evaluator(),
             Supervisor::new(RetryPolicy::new(5), None),
         );
-        let outcome = explore_par(&problem, &retried, ExploreOptions::default(), &exec).unwrap();
+        let outcome = explore_run(&problem, &retried, ExploreOptions::default(), &exec).unwrap();
         assert_eq!(
             plain, outcome,
             "a bigger retry budget changed a healthy run"
@@ -558,7 +581,7 @@ fn chaos_injected_exploration_is_thread_count_invariant() {
             protocol().shared_evaluator(),
             Supervisor::new(RetryPolicy::new(3), Some(chaos)),
         );
-        explore_par(&problem, &evaluator, ExploreOptions::default(), &exec)
+        explore_run(&problem, &evaluator, ExploreOptions::default(), &exec)
             .expect("chaos degrades per point, never aborts")
     };
     let baseline = run(1);
@@ -578,7 +601,7 @@ fn chaos_injected_exploration_is_thread_count_invariant() {
     // transients, so only unlucky points (transient on every attempt) are
     // lost, and this spec spares the winner.
     let exec = ExecContext::new(2);
-    let plain = explore_par(
+    let plain = explore_run(
         &problem,
         &protocol().shared_evaluator(),
         ExploreOptions::default(),
@@ -601,7 +624,7 @@ fn resume_from_a_mid_run_auto_checkpoint_is_bit_identical() {
     let mut snapshots: Vec<ExploreCheckpoint> = Vec::new();
     let exec = ExecContext::new(2);
     let evaluator = protocol().shared_evaluator();
-    let straight = hi_core::explore_par_observed(
+    let straight = explore(
         &problem,
         &evaluator,
         options,
@@ -627,12 +650,13 @@ fn resume_from_a_mid_run_auto_checkpoint_is_bit_identical() {
         let restored = ExploreCheckpoint::from_text(&snapshot.to_text()).unwrap();
         let exec = ExecContext::new(2);
         let evaluator = protocol().shared_evaluator();
-        let resumed = explore_par_from(
+        let resumed = explore(
             &problem,
             &evaluator,
             ExploreOptions::default(),
             &exec,
             Some(&restored),
+            &mut |_| (),
         )
         .unwrap();
         assert_same_best(&straight.best, &resumed.best);

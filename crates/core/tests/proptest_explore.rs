@@ -10,8 +10,8 @@
 
 use hi_core::power::analytic_power_mw;
 use hi_core::{
-    exhaustive_search, explore, DesignPoint, DesignSpace, Evaluation, FnEvaluator, MilpEncoding,
-    Problem, TopologyConstraints,
+    exhaustive_search, explore, DesignPoint, DesignSpace, Evaluation, ExecContext, ExploreOptions,
+    FnEvaluator, MilpEncoding, Problem, TopologyConstraints,
 };
 use hi_des::check::{run_cases, Gen};
 use hi_net::AppParams;
@@ -147,10 +147,19 @@ fn algorithm1_equals_exhaustive_under_sound_oracle() {
             pdr_min: floor,
             app,
         };
-        let mut a1_ev = FnEvaluator::new(oracle);
-        let a1 = explore(&problem, &mut a1_ev).expect("explore");
-        let mut ex_ev = FnEvaluator::new(oracle);
-        let ex = exhaustive_search(&problem, &mut ex_ev);
+        let exec = ExecContext::sequential();
+        let a1_ev = FnEvaluator::new(oracle);
+        let a1 = explore(
+            &problem,
+            &a1_ev,
+            ExploreOptions::default(),
+            &exec,
+            None,
+            &mut |_| (),
+        )
+        .expect("explore");
+        let ex_ev = FnEvaluator::new(oracle);
+        let ex = exhaustive_search(&problem, &ex_ev, &exec);
 
         assert_eq!(
             a1.best.map(|(_, e)| e.power_mw.to_bits()),

@@ -27,10 +27,10 @@ use hi_opt::net::{
     average_outcomes, simulate_stochastic, MacKind, NetworkConfig, Routing, TxPower,
 };
 use hi_opt::{
-    explore_par_observed, explore_tradeoff_par, ilp_heuristic_search, parse_fault_suite,
-    robust_milp_search, supervision_spec, ChaosPolicy, CheckpointLoadError, DesignSpace,
-    ExecContext, ExplorationOutcome, ExploreCheckpoint, ExploreError, ExploreOptions, FaultSuite,
-    MilpEncoding, Problem, RetryPolicy, RobustEvaluator, RobustMode, RobustnessSpec, SimProtocol,
+    explore, explore_tradeoff_par, ilp_heuristic_search, parse_fault_suite, robust_milp_search,
+    supervision_spec, ChaosPolicy, CheckpointLoadError, DesignSpace, ExecContext,
+    ExplorationOutcome, ExploreCheckpoint, ExploreError, ExploreOptions, FaultSuite, MilpEncoding,
+    Problem, RetryPolicy, RobustEvaluator, RobustMode, RobustnessSpec, SimProtocol,
     SuiteParseError, SupervisedEvaluator, Supervisor, TopologyConstraints, ENGINE_ALGORITHM1,
     ENGINE_ILP_HEURISTIC, ENGINE_ROBUST_MILP,
 };
@@ -767,7 +767,7 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
                 RobustEvaluator::new(common.protocol().with_max_events(max_events), suite, mode),
                 supervisor,
             );
-            let outcome = explore_par_observed(
+            let outcome = explore(
                 &problem,
                 &evaluator,
                 options,
@@ -863,7 +863,7 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
                     .shared_evaluator(),
                 supervisor,
             );
-            let outcome = explore_par_observed(
+            let outcome = explore(
                 &problem,
                 &evaluator,
                 options,

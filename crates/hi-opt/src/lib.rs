@@ -27,15 +27,14 @@
 //! # Example
 //!
 //! ```
-//! use hi_opt::{explore, Problem, SimEvaluator};
-//! use hi_opt::channel::ChannelParams;
+//! use hi_opt::{explore, ExecContext, ExploreOptions, Problem, SimProtocol};
 //! use hi_opt::des::SimDuration;
 //!
 //! # fn main() -> Result<(), hi_opt::ExploreError> {
 //! let problem = Problem::paper_default(0.60);
-//! let mut sim = SimEvaluator::new(ChannelParams::default(),
-//!                                 SimDuration::from_secs(10.0), 1, 1);
-//! let outcome = explore(&problem, &mut sim)?;
+//! let sim = SimProtocol::new(SimDuration::from_secs(10.0), 1, 1).shared_evaluator();
+//! let exec = ExecContext::sequential();
+//! let outcome = explore(&problem, &sim, ExploreOptions::default(), &exec, None, &mut |_| ())?;
 //! assert!(outcome.is_feasible());
 //! # Ok(())
 //! # }
@@ -59,17 +58,15 @@ pub use hi_trace as trace;
 pub mod cli;
 
 pub use hi_core::{
-    deviation_power_mw, exhaustive_search, exhaustive_search_par, explore, explore_par,
-    explore_par_from, explore_par_observed, explore_tradeoff, explore_tradeoff_par,
-    explore_with_options, ilp_heuristic_search, load_checkpoint_file, load_recovering,
-    parse_fault_suite, robust_milp_search, simulated_annealing, simulated_annealing_restarts,
-    supervision_spec, warmup_events_floor, AppProfile, CancelToken, ChaosPolicy,
-    CheckpointLoadError, CheckpointRecovery, DesignPoint, DesignSpace, EvalError, Evaluation,
-    Evaluator, ExecContext, ExhaustiveOutcome, ExplorationOutcome, ExploreCheckpoint, ExploreError,
-    ExploreOptions, FaultSuite, FnEvaluator, LinkDeviation, MacChoice, MilpEncoding, Placement,
-    PointEvaluator, Problem, RetryPolicy, RobustEvaluation, RobustEvaluator, RobustMode,
-    RobustOutcome, RobustnessSpec, RouteChoice, SaOutcome, SaParams, SharedSimEvaluator,
-    SimEvaluator, SimProtocol, StopReason, SuiteParseError, SupervisedEvaluator, Supervisor,
+    deviation_power_mw, exhaustive_search, explore, explore_tradeoff_par, ilp_heuristic_search,
+    load_checkpoint_file, load_recovering, parse_fault_suite, robust_milp_search,
+    simulated_annealing, simulated_annealing_restarts, supervision_spec, warmup_events_floor,
+    AppProfile, CancelToken, ChaosPolicy, CheckpointLoadError, CheckpointRecovery, DesignPoint,
+    DesignSpace, EvalError, Evaluation, ExecContext, ExhaustiveOutcome, ExplorationOutcome,
+    ExploreCheckpoint, ExploreError, ExploreOptions, FaultSuite, FnEvaluator, LinkDeviation,
+    MacChoice, MilpEncoding, Placement, PointEvaluator, Problem, RetryPolicy, RobustEvaluation,
+    RobustEvaluator, RobustMode, RobustOutcome, RobustnessSpec, RouteChoice, SaOutcome, SaParams,
+    SharedSimEvaluator, SimProtocol, StopReason, SuiteParseError, SupervisedEvaluator, Supervisor,
     TopologyConstraints, TradeoffPoint, DEVIATION_CAP_DB, ENGINE_ALGORITHM1, ENGINE_ILP_HEURISTIC,
     ENGINE_ROBUST_MILP,
 };

@@ -26,7 +26,6 @@
 //!   before branch & bound.
 //! * [`WarmModel`] — a model that keeps its root relaxation solved across
 //!   edits, for loops that tighten one model and re-solve it.
-//! * [`lp_format`] — CPLEX-LP-format export for debugging and interop.
 //!
 //! # Example
 //!
@@ -55,7 +54,6 @@
 pub mod branch;
 mod error;
 mod expr;
-pub mod lp_format;
 mod model;
 pub mod pool;
 pub mod presolve;

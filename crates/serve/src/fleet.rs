@@ -21,10 +21,10 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use hi_core::{
-    exhaustive_search_par, explore_par_observed, ilp_heuristic_search, robust_milp_search,
-    DesignPoint, EvalError, Evaluation, ExecContext, ExploreCheckpoint, ExploreOptions,
-    PointEvaluator, RetryPolicy, RobustEvaluator, RobustnessSpec, SharedSimEvaluator, StopReason,
-    SupervisedEvaluator, Supervisor,
+    exhaustive_search, explore, ilp_heuristic_search, robust_milp_search, DesignPoint, EvalError,
+    Evaluation, ExecContext, ExploreCheckpoint, ExploreOptions, PointEvaluator, RetryPolicy,
+    RobustEvaluator, RobustnessSpec, SharedSimEvaluator, StopReason, SupervisedEvaluator,
+    Supervisor,
 };
 
 use crate::profile::{EngineChoice, UserProfile};
@@ -126,7 +126,7 @@ impl FleetEvaluator {
 impl PointEvaluator for FleetEvaluator {
     fn try_eval(&self, point: &DesignPoint) -> Result<Evaluation, EvalError> {
         match self {
-            FleetEvaluator::Nominal(e) => e.try_eval_point(point),
+            FleetEvaluator::Nominal(e) => e.try_eval(point),
             FleetEvaluator::Robust(e) => e.try_eval(point),
         }
     }
@@ -270,7 +270,7 @@ pub fn run_profile(
                 checkpoint_every: policy.checkpoint_every,
                 ..ExploreOptions::default()
             };
-            let out = explore_par_observed(&problem, &supervised, options, exec, resume, observer)
+            let out = explore(&problem, &supervised, options, exec, resume, observer)
                 .map_err(|e| e.to_string())?;
             ProfileOutcome {
                 best: out.best,
@@ -284,13 +284,13 @@ pub fn run_profile(
             }
         }
         EngineChoice::Exhaustive => {
-            let out = exhaustive_search_par(&problem, &supervised, exec);
+            let out = exhaustive_search(&problem, &supervised, exec);
             ProfileOutcome {
                 best: out.best,
                 iterations: 0,
-                candidates: out.evaluations.len() as u64,
+                candidates: out.evaluations.len() as u64 + out.eval_errors,
                 simulations: out.simulations,
-                eval_errors: 0,
+                eval_errors: out.eval_errors,
                 stop_reason: None,
                 cache_hits: 0,
                 cache_misses: 0,

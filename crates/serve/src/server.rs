@@ -1284,6 +1284,44 @@ mod tests {
     }
 
     #[test]
+    fn failed_exhaustive_points_degrade_and_the_daemon_keeps_serving() {
+        // Under a 200-event budget every replication trips the logical
+        // deadline, so every point of the exhaustive sweep fails. The job
+        // must still end `done` with its failures counted — as an
+        // Algorithm 1 job does — and the next job must still run.
+        let mut config = quick_config("exhaustive-errors");
+        config.max_events = Some(200);
+        let server = Arc::new(Server::new(config.clone()).unwrap());
+        let exhaustive = format!("{QUICK_PROFILE}engine exhaustive\n");
+        assert_eq!(server.submit(&exhaustive).unwrap(), vec![1]);
+        assert_eq!(server.submit(QUICK_PROFILE).unwrap(), vec![2]);
+        let waiter = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || {
+                let last = server.wait(2, &mut |_| true);
+                server.request_shutdown();
+                last
+            })
+        };
+        // The scheduler runs on the test thread, so a job that takes it
+        // down fails the test here rather than stranding the waiter.
+        server.scheduler_loop();
+        assert_eq!(waiter.join().unwrap(), Ok(JobState::Done));
+        assert_eq!(server.status(1), Some(JobState::Done));
+        let block = server.result(1).unwrap();
+        assert!(block.contains("\nengine exhaustive\n"), "{block}");
+        let errors: u64 = block
+            .lines()
+            .find_map(|line| line.strip_prefix("eval_errors "))
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no eval_errors line: {block}"));
+        assert!(errors > 0, "{block}");
+        let next = server.result(2).unwrap();
+        assert!(next.contains("\nengine algorithm1\n"), "{next}");
+        let _ = std::fs::remove_dir_all(&config.state_dir);
+    }
+
+    #[test]
     fn hl044_rejects_broken_cache_persistence() {
         let mut config = quick_config("hl044");
         config.compact_threshold = 0;

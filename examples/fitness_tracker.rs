@@ -1,7 +1,7 @@
 //! Everyday fitness monitoring: lifetime is king, a few dropped packets
 //! are acceptable (the paper's low-`PDRmin` regime).
 //!
-//! Sweeps the reliability floor with [`explore_tradeoff`] and prints how
+//! Sweeps the reliability floor with [`explore_tradeoff_par`] and prints how
 //! the selected architecture migrates from a weak star to a strong star
 //! to a mesh — the ladder the paper's Fig. 3 arrows trace.
 //!
@@ -9,23 +9,18 @@
 //! cargo run --release -p hi-opt --example fitness_tracker
 //! ```
 
-use hi_opt::channel::ChannelParams;
 use hi_opt::des::SimDuration;
-use hi_opt::{explore_tradeoff, Evaluator, Problem, SimEvaluator};
+use hi_opt::{explore_tradeoff_par, ExecContext, Problem, SimProtocol};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One shared evaluator: its cache makes the sweep cheap, mirroring how
     // a designer would explore several requirement levels interactively.
-    let mut evaluator = SimEvaluator::new(
-        ChannelParams::default(),
-        SimDuration::from_secs(60.0),
-        3,
-        0xF17_BEEF,
-    );
+    let evaluator =
+        SimProtocol::new(SimDuration::from_secs(60.0), 3, 0xF17_BEEF).shared_evaluator();
 
     let template = Problem::paper_default(0.5);
     let floors = [0.50, 0.60, 0.70, 0.80, 0.90, 0.95];
-    let sweep = explore_tradeoff(&template, &floors, &mut evaluator)?;
+    let sweep = explore_tradeoff_par(&template, &floors, &evaluator, &ExecContext::from_env())?;
 
     println!(
         "{:>7} | {:<34} | {:>6} | {:>9} | {:>9}",

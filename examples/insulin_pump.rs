@@ -7,22 +7,26 @@
 //! cargo run --release -p hi-opt --example insulin_pump
 //! ```
 
-use hi_opt::channel::ChannelParams;
 use hi_opt::des::SimDuration;
-use hi_opt::{explore, Problem, RouteChoice, SimEvaluator};
+use hi_opt::{explore, ExecContext, ExploreOptions, Problem, RouteChoice, SimProtocol};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut evaluator = SimEvaluator::new(
-        ChannelParams::default(),
-        SimDuration::from_secs(120.0),
-        3,
-        0x1453,
-    );
+    // One evaluator across the floors: its cache carries measurements
+    // from one floor to the next.
+    let evaluator = SimProtocol::new(SimDuration::from_secs(120.0), 3, 0x1453).shared_evaluator();
+    let exec = ExecContext::from_env();
 
     // The demanding end of the reliability spectrum.
     for pdr_min in [0.97, 0.99, 0.999] {
         let problem = Problem::paper_default(pdr_min);
-        let outcome = explore(&problem, &mut evaluator)?;
+        let outcome = explore(
+            &problem,
+            &evaluator,
+            ExploreOptions::default(),
+            &exec,
+            None,
+            &mut |_| (),
+        )?;
         println!("PDRmin = {:.1}%:", pdr_min * 100.0);
         match outcome.best {
             Some((point, eval)) => {

@@ -6,9 +6,8 @@
 //! cargo run --release -p hi-opt --example quickstart
 //! ```
 
-use hi_opt::channel::ChannelParams;
 use hi_opt::des::SimDuration;
-use hi_opt::{explore, Problem, SimEvaluator};
+use hi_opt::{explore, ExecContext, ExploreOptions, Problem, SimProtocol};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's design example (§4.1): 10 candidate body sites, chest +
@@ -20,15 +19,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Evaluation protocol: the paper runs 3 x 600 s per candidate. Here we
     // use 3 x 60 s so the example finishes in seconds; bump `t_sim` for
     // paper-grade accuracy (<0.5% metric error).
-    let mut evaluator = SimEvaluator::new(
-        ChannelParams::default(),
-        SimDuration::from_secs(60.0),
-        3,
-        0xC0FFEE,
-    );
+    let evaluator = SimProtocol::new(SimDuration::from_secs(60.0), 3, 0xC0FFEE).shared_evaluator();
+    // Each MILP candidate level is simulated on these workers; the result
+    // is bit-identical for any count, `ExecContext::sequential()` included.
+    let exec = ExecContext::from_env();
 
     println!("exploring {} candidate configurations ...", 1320);
-    let outcome = explore(&problem, &mut evaluator)?;
+    let outcome = explore(
+        &problem,
+        &evaluator,
+        ExploreOptions::default(),
+        &exec,
+        None,        // no checkpoint to resume from
+        &mut |_| (), // no auto-checkpoint observer
+    )?;
 
     match outcome.best {
         Some((point, eval)) => {

@@ -2,8 +2,11 @@
 //! error-type behaviour and Display stability — the Rust API guideline
 //! checks (C-SEND-SYNC, C-GOOD-ERR, C-COMMON-TRAITS) as executable tests.
 
-use hi_opt::channel::{BodyLocation, Channel, ChannelParams, PathLossMatrix, StaticChannel};
-use hi_opt::core::{DesignPoint, DesignSpace, Evaluation, Placement, Problem, SimEvaluator};
+use hi_opt::channel::{BodyLocation, Channel, PathLossMatrix, StaticChannel};
+use hi_opt::core::{
+    DesignPoint, DesignSpace, Evaluation, Placement, PointEvaluator, Problem, SharedSimEvaluator,
+    SimProtocol,
+};
 use hi_opt::des::{Engine, SimDuration, SimTime};
 use hi_opt::milp::{LinExpr, Model, Solution, SolveError};
 use hi_opt::net::{NetworkConfig, SimOutcome};
@@ -27,7 +30,7 @@ fn core_types_are_send_sync() {
     assert_send_sync::<DesignPoint>();
     assert_send_sync::<DesignSpace>();
     assert_send_sync::<Problem>();
-    assert_send_sync::<SimEvaluator>();
+    assert_send_sync::<SharedSimEvaluator>();
     assert_send_sync::<Evaluation>();
 }
 
@@ -66,15 +69,14 @@ fn display_formats_are_stable() {
 fn evaluators_are_usable_across_threads() {
     // A practical Send check: move an evaluator into a thread.
     let handle = std::thread::spawn(|| {
-        let mut ev = SimEvaluator::new(ChannelParams::default(), SimDuration::from_secs(2.0), 1, 1);
-        use hi_opt::Evaluator;
+        let ev = SimProtocol::new(SimDuration::from_secs(2.0), 1, 1).shared_evaluator();
         let pt = DesignPoint {
             placement: Placement::from_indices([0, 1, 3, 5]),
             tx_power: hi_opt::net::TxPower::ZeroDbm,
             mac: hi_opt::core::MacChoice::Tdma,
             routing: hi_opt::core::RouteChoice::Star,
         };
-        ev.evaluate(&pt).pdr
+        ev.try_eval(&pt).expect("a valid design point").pdr
     });
     let pdr = handle.join().expect("thread");
     assert!((0.0..=1.0).contains(&pdr));

@@ -3,11 +3,11 @@
 //! simulations — the paper's central claim, on a reduced space sized for
 //! CI.
 
-use hi_opt::channel::ChannelParams;
 use hi_opt::des::SimDuration;
 use hi_opt::net::AppParams;
 use hi_opt::{
-    exhaustive_search, explore, DesignSpace, Evaluator, Problem, SimEvaluator, TopologyConstraints,
+    exhaustive_search, explore, DesignSpace, ExecContext, ExplorationOutcome, ExploreOptions,
+    Problem, SharedSimEvaluator, SimProtocol, TopologyConstraints,
 };
 
 /// A CI-sized problem: 4-node placements only (8 of them), full stack
@@ -22,13 +22,22 @@ fn small_problem(pdr_min: f64) -> Problem {
     }
 }
 
-fn evaluator(seed: u64) -> SimEvaluator {
-    SimEvaluator::new(
-        ChannelParams::default(),
-        SimDuration::from_secs(20.0),
-        1,
-        seed,
+fn evaluator(seed: u64) -> SharedSimEvaluator {
+    SimProtocol::new(SimDuration::from_secs(20.0), 1, seed).shared_evaluator()
+}
+
+/// Algorithm 1 on one worker, without resume or snapshots.
+fn explore_seq(problem: &Problem, ev: &SharedSimEvaluator) -> ExplorationOutcome {
+    let exec = ExecContext::sequential();
+    explore(
+        problem,
+        ev,
+        ExploreOptions::default(),
+        &exec,
+        None,
+        &mut |_| (),
     )
+    .expect("explore")
 }
 
 #[test]
@@ -36,9 +45,9 @@ fn algorithm1_matches_exhaustive_optimum() {
     for pdr_min in [0.55, 0.80] {
         let problem = small_problem(pdr_min);
         // One shared evaluator: both searches see identical measurements.
-        let mut ev = evaluator(42);
-        let a1 = explore(&problem, &mut ev).expect("explore");
-        let ex = exhaustive_search(&problem, &mut ev);
+        let ev = evaluator(42);
+        let a1 = explore_seq(&problem, &ev);
+        let ex = exhaustive_search(&problem, &ev, &ExecContext::sequential());
 
         let a1_power = a1.best.as_ref().map(|(_, e)| e.power_mw);
         let ex_power = ex.best.as_ref().map(|(_, e)| e.power_mw);
@@ -53,8 +62,8 @@ fn algorithm1_matches_exhaustive_optimum() {
 #[test]
 fn algorithm1_uses_fraction_of_exhaustive_simulations() {
     let problem = small_problem(0.80);
-    let mut a1_ev = evaluator(7);
-    let a1 = explore(&problem, &mut a1_ev).expect("explore");
+    let a1_ev = evaluator(7);
+    let a1 = explore_seq(&problem, &a1_ev);
     assert!(a1.is_feasible());
 
     let total = problem.space.points().len() as u64;
@@ -81,8 +90,8 @@ fn infeasible_floor_is_detected_against_simulation() {
         pdr_min: 1.0,
         app: AppParams::default(),
     };
-    let mut ev = evaluator(3);
-    let out = explore(&problem, &mut ev).expect("explore");
+    let ev = evaluator(3);
+    let out = explore_seq(&problem, &ev);
     // With only 4-node configurations and deep fades, 100.0% across all
     // 12 ordered pairs for 20 s is effectively unreachable for stars;
     // mesh at 0 dBm occasionally manages it, so accept either a mesh
@@ -96,8 +105,8 @@ fn infeasible_floor_is_detected_against_simulation() {
 #[test]
 fn outcome_statistics_are_consistent() {
     let problem = small_problem(0.70);
-    let mut ev = evaluator(11);
-    let out = explore(&problem, &mut ev).expect("explore");
+    let ev = evaluator(11);
+    let out = explore_seq(&problem, &ev);
     assert!(out.iterations >= 1);
     assert!(out.candidates_proposed >= out.simulations);
     assert_eq!(out.simulations, ev.unique_evaluations());

@@ -2,19 +2,24 @@
 //! bit-identical exploration outcomes, and different seeds must actually
 //! change the stochastic measurements.
 
-use hi_opt::channel::ChannelParams;
 use hi_opt::des::SimDuration;
-use hi_opt::{explore, simulated_annealing, Problem, SaParams, SimEvaluator};
+use hi_opt::{
+    explore, simulated_annealing, ExecContext, ExploreOptions, Problem, SaParams, SimProtocol,
+};
 
 fn run_explore(seed: u64) -> (Option<(String, f64, f64)>, u64) {
     let problem = Problem::paper_default(0.60);
-    let mut ev = SimEvaluator::new(
-        ChannelParams::default(),
-        SimDuration::from_secs(10.0),
-        1,
-        seed,
-    );
-    let out = explore(&problem, &mut ev).expect("explore");
+    let ev = SimProtocol::new(SimDuration::from_secs(10.0), 1, seed).shared_evaluator();
+    let exec = ExecContext::sequential();
+    let out = explore(
+        &problem,
+        &ev,
+        ExploreOptions::default(),
+        &exec,
+        None,
+        &mut |_| (),
+    )
+    .expect("explore");
     (
         out.best.map(|(pt, e)| (pt.to_string(), e.pdr, e.power_mw)),
         out.simulations,
@@ -45,10 +50,10 @@ fn different_seeds_change_measurements() {
 fn annealing_is_deterministic_per_seed() {
     let problem = Problem::paper_default(0.60);
     let run = |seed: u64| {
-        let mut ev = SimEvaluator::new(ChannelParams::default(), SimDuration::from_secs(5.0), 1, 9);
+        let ev = SimProtocol::new(SimDuration::from_secs(5.0), 1, 9).shared_evaluator();
         let out = simulated_annealing(
             &problem,
-            &mut ev,
+            &ev,
             SaParams {
                 steps: 40,
                 ..Default::default()

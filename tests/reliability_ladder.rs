@@ -4,32 +4,42 @@
 //! appearing only at the extreme-reliability end, and lifetime falling
 //! monotonically along the way.
 
-use hi_opt::channel::ChannelParams;
 use hi_opt::des::SimDuration;
 use hi_opt::net::TxPower;
-use hi_opt::{explore, Problem, RouteChoice, SimEvaluator};
+use hi_opt::{
+    explore, ExecContext, ExplorationOutcome, ExploreOptions, Problem, RouteChoice,
+    SharedSimEvaluator, SimProtocol,
+};
+
+/// Algorithm 1 on one worker, without resume or snapshots.
+fn explore_seq(problem: &Problem, ev: &SharedSimEvaluator) -> ExplorationOutcome {
+    let exec = ExecContext::sequential();
+    explore(
+        problem,
+        ev,
+        ExploreOptions::default(),
+        &exec,
+        None,
+        &mut |_| (),
+    )
+    .expect("explore")
+}
 
 #[test]
 fn architecture_ladder_follows_the_paper() {
     // One evaluator: the memoized measurements keep the sweep affordable
     // and make the floors directly comparable.
-    let mut ev = SimEvaluator::new(
-        ChannelParams::default(),
-        SimDuration::from_secs(30.0),
-        1,
-        0x1ADDE2,
-    );
+    let ev = SimProtocol::new(SimDuration::from_secs(30.0), 1, 0x1ADDE2).shared_evaluator();
 
-    let optimum = |pdr_min: f64, ev: &mut SimEvaluator| {
+    let optimum = |pdr_min: f64, ev: &SharedSimEvaluator| {
         let problem = Problem::paper_default(pdr_min);
-        explore(&problem, ev)
-            .expect("explore")
+        explore_seq(&problem, ev)
             .best
             .unwrap_or_else(|| panic!("PDRmin {pdr_min} should be feasible"))
     };
 
     // Relaxed reliability: a star at reduced transmit power wins.
-    let (low, low_eval) = optimum(0.60, &mut ev);
+    let (low, low_eval) = optimum(0.60, &ev);
     assert_eq!(low.routing, RouteChoice::Star, "low floor: {low}");
     assert!(
         low.tx_power != TxPower::ZeroDbm,
@@ -37,12 +47,12 @@ fn architecture_ladder_follows_the_paper() {
     );
 
     // Mid reliability: still a star, but at 0 dBm.
-    let (mid, mid_eval) = optimum(0.85, &mut ev);
+    let (mid, mid_eval) = optimum(0.85, &ev);
     assert_eq!(mid.routing, RouteChoice::Star, "mid floor: {mid}");
     assert_eq!(mid.tx_power, TxPower::ZeroDbm, "mid floor: {mid}");
 
     // High reliability: the star cannot deliver; flooding mesh takes over.
-    let (high, high_eval) = optimum(0.995, &mut ev);
+    let (high, high_eval) = optimum(0.995, &ev);
     assert_eq!(high.routing, RouteChoice::Mesh, "high floor: {high}");
 
     // Lifetime is the price of reliability (Fig. 3's downward arrows).
@@ -70,14 +80,9 @@ fn extreme_reliability_recruits_extra_nodes() {
     // On the synthetic channel a 4-node mesh tops out just below a perfect
     // score over long horizons; at 100.0% the optimizer must either grow
     // the mesh or, if a lucky 4-node run hits 100%, still choose a mesh.
-    let mut ev = SimEvaluator::new(
-        ChannelParams::default(),
-        SimDuration::from_secs(30.0),
-        2,
-        0xFEED,
-    );
+    let ev = SimProtocol::new(SimDuration::from_secs(30.0), 2, 0xFEED).shared_evaluator();
     let problem = Problem::paper_default(1.0);
-    let out = explore(&problem, &mut ev).expect("explore");
+    let out = explore_seq(&problem, &ev);
     match out.best {
         Some((pt, eval)) => {
             assert_eq!(pt.routing, RouteChoice::Mesh, "{pt}");
