@@ -482,11 +482,17 @@ sed -n '/^pareto front/,/^total/p' /tmp/hi_ci_trade_cold.txt | grep -v '^total' 
 sed -n '/^pareto front/,/^total/p' /tmp/hi_ci_trade_warm.txt | grep -v '^total' \
     > /tmp/hi_ci_trade_warm_front.txt
 diff /tmp/hi_ci_trade_cold_front.txt /tmp/hi_ci_trade_warm_front.txt
+# A front file torn mid-entry holds only a prefix of the front: the
+# rerun must treat it as a miss, re-run the sweep (nonzero simulations)
+# and print the cold run's front, never the torn prefix.
+FRONT_SEG=$(ls /tmp/hi_ci_tradearch/front-*.seg)
+head -c $(( $(wc -c < "$FRONT_SEG") - 20 )) "$FRONT_SEG" > /tmp/hi_ci_trade_torn.seg
+mv /tmp/hi_ci_trade_torn.seg "$FRONT_SEG"
+target/release/hi-opt tradeoff --tsim 2 --runs 1 --archive /tmp/hi_ci_tradearch \
+    > /tmp/hi_ci_trade_torn.txt
+grep '^total unique simulations: ' /tmp/hi_ci_trade_torn.txt | awk '{ok = $4 > 0} END {exit !ok}'
+sed -n '/^pareto front/,/^total/p' /tmp/hi_ci_trade_torn.txt | grep -v '^total' \
+    > /tmp/hi_ci_trade_torn_front.txt
+diff /tmp/hi_ci_trade_cold_front.txt /tmp/hi_ci_trade_torn_front.txt
 
 HI_BENCH_QUICK=1 cargo bench
-
-# Refresh the committed perf-trajectory report with explicit 1- and
-# 8-worker rows (HI_EXEC_THREADS pins the pool size even on a
-# single-core host).
-HI_BENCH_QUICK=1 HI_EXEC_THREADS=8 HI_BENCH_REPORT_DIR="$PWD" \
-    cargo bench --bench sweep

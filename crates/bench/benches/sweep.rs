@@ -7,59 +7,16 @@
 //! On a single-core host the ratio is expected to be ~1x (the engine's
 //! value there is determinism + shared caching, not speedup); on
 //! multi-core hosts it should approach the worker count for this
-//! embarrassingly parallel workload.
-//!
-//! Besides the human-readable stats it writes `BENCH_explore.json` in the
-//! invocation directory: one machine-readable [`EngineRun`] per engine
-//! variant (wall time, simulation count and cache hit rate pulled from a
-//! metrics-only `hi-trace` collector), so the perf trajectory across PRs
-//! has data points.
+//! embarrassingly parallel workload. The fleet and Pareto rows time
+//! `hi-serve`'s cross-user dedup, front build/hydrate and warm restart.
+//! Per-layer measurements with spreads are `perfbench`'s job.
 
 use std::time::Instant;
 
 use hi_bench::micro::Runner;
-use hi_bench::report::{BenchReport, EngineRun};
 use hi_bench::{parallel_sweep, ExpOptions};
-use hi_core::{
-    explore, ilp_heuristic_search, parse_fault_suite, robust_milp_search, DesignSpace, ExecContext,
-    ExploreOptions, Problem, RobustEvaluator, RobustMode, RobustnessSpec, SharedSimEvaluator,
-    SimProtocol,
-};
+use hi_core::{DesignSpace, ExecContext};
 use hi_des::SimDuration;
-use hi_trace::{wellknown as wk, Collector};
-
-/// Runs `body` under a metrics-only collector and packages the wall time
-/// plus the registry's simulation count and the evaluator's cache totals
-/// as one report row.
-fn instrumented(
-    engine: &str,
-    threads: usize,
-    opts: &ExpOptions,
-    body: impl FnOnce(&ExecContext, &SharedSimEvaluator),
-) -> EngineRun {
-    let collector = Collector::metrics_only();
-    let registry = collector
-        .registry()
-        .expect("a metrics-only collector has a registry");
-    wk::register_all(registry);
-    let exec = ExecContext::new(threads).with_collector(collector.clone());
-    let evaluator = opts.evaluator();
-    let t0 = Instant::now();
-    {
-        let _main = collector.install(0, 0);
-        body(&exec, &evaluator);
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-    exec.flush_pool_stats();
-    EngineRun {
-        engine: engine.to_string(),
-        threads,
-        wall_s,
-        simulations: registry.counter_value(wk::NET_REPLICATIONS),
-        cache_hits: evaluator.cache_hits(),
-        cache_misses: evaluator.unique_evaluations(),
-    }
-}
 
 fn main() {
     let quick = std::env::var_os("HI_BENCH_QUICK").is_some();
@@ -101,112 +58,12 @@ fn main() {
         pooled
     );
 
-    // Machine-readable rows: the exhaustive sweep and Algorithm 1, each
-    // sequential and pooled, instrumented through the metrics registry.
-    let mut bench_report = BenchReport::new("explore");
-    let problem = Problem::paper_default(0.7);
-    for t in [1, threads] {
-        bench_report.push(instrumented(
-            "exhaustive_sweep",
-            t,
-            &opts(t),
-            |exec, evaluator| {
-                for slot in exec.try_eval_points(evaluator, &points) {
-                    slot.expect("sweep is never cancelled")
-                        .expect("evaluation succeeds");
-                }
-            },
-        ));
-        bench_report.push(instrumented(
-            "algorithm1",
-            t,
-            &opts(t),
-            |exec, evaluator| {
-                explore(
-                    &problem,
-                    evaluator,
-                    ExploreOptions::default(),
-                    exec,
-                    None,
-                    &mut |_| (),
-                )
-                .expect("exploration succeeds");
-            },
-        ));
-        if threads == 1 {
-            break; // single-core host: the two variants coincide
-        }
-    }
-    // Γ-robust engines on the demo fault suite. The robust MILP prices
-    // the suite into the formulation and simulates only each level's
-    // witness; the ILP heuristic additionally pins fault-untargeted
-    // sites to the nominal optimum. Their rows sit next to algorithm1's
-    // so the formulation-vs-verification simulation gap is a tracked
-    // number, not a claim.
-    let suite_path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/demo.suite");
-    let suite_text = std::fs::read_to_string(&suite_path).expect("demo suite is readable");
-    for (engine, milp) in [("robust_milp", true), ("ilp_heuristic", false)] {
-        for t in [1, threads] {
-            let collector = Collector::metrics_only();
-            let registry = collector
-                .registry()
-                .expect("a metrics-only collector has a registry");
-            wk::register_all(registry);
-            let exec = ExecContext::new(t).with_collector(collector.clone());
-            let (suite, _) = parse_fault_suite(&suite_text).expect("demo suite parses");
-            let spec = RobustnessSpec::from_suite(&suite, 2);
-            let protocol = SimProtocol::new(SimDuration::from_secs(2.0), 1, 7);
-            let evaluator = RobustEvaluator::new(protocol, suite, RobustMode::WorstCase);
-            let t0 = Instant::now();
-            {
-                let _main = collector.install(0, 0);
-                let run = if milp {
-                    robust_milp_search(
-                        &problem,
-                        &spec,
-                        &evaluator,
-                        ExploreOptions::default(),
-                        &exec,
-                        None,
-                        &mut |_| {},
-                    )
-                } else {
-                    ilp_heuristic_search(
-                        &problem,
-                        &spec,
-                        &evaluator,
-                        ExploreOptions::default(),
-                        &exec,
-                        None,
-                        &mut |_| {},
-                    )
-                }
-                .expect("robust engine succeeds");
-                assert!(run.outcome.best.is_some(), "demo floor is reachable");
-            }
-            let wall_s = t0.elapsed().as_secs_f64();
-            exec.flush_pool_stats();
-            bench_report.push(EngineRun {
-                engine: engine.to_string(),
-                threads: t,
-                wall_s,
-                simulations: registry.counter_value(wk::NET_REPLICATIONS),
-                cache_hits: evaluator.cache_hits(),
-                cache_misses: evaluator.unique_evaluations(),
-            });
-            if threads == 1 {
-                break;
-            }
-        }
-    }
-
     // Fleet mode: a batch of user profiles through one shared,
     // fingerprint-keyed evaluator pool (`hi-serve`'s cross-user dedup).
     // Three of the four profiles share their lowered physics, so after
     // the first user pays for the simulations the other two run almost
-    // entirely from cache — the row's cache_hit_rate is the measured
-    // dedup factor, not a synthetic one.
+    // entirely from cache — the printed hit count is the measured dedup
+    // factor, not a synthetic one.
     let fleet_text = "\
 profile alice\ntsim 2\nruns 1\nseed 7\npdrmin 0.9\n\
 profile bob\ntsim 2\nruns 1\nseed 7\npdrmin 0.85\n\
@@ -214,12 +71,7 @@ profile carol\ntsim 2\nruns 1\nseed 7\npdrmin 0.7\n\
 profile dave\ntsim 2\nruns 1\nseed 7\npdrmin 0.9\ngeometry 1.15\ntraffic 25 64\n";
     let profiles = hi_serve::parse_profiles(fleet_text).expect("bench fleet parses");
     for t in [1, threads] {
-        let collector = Collector::metrics_only();
-        let registry = collector
-            .registry()
-            .expect("a metrics-only collector has a registry");
-        wk::register_all(registry);
-        let exec = ExecContext::new(t).with_collector(collector.clone());
+        let exec = ExecContext::new(t);
         let fleet = hi_serve::FleetCache::new();
         let policy = hi_serve::RunPolicy {
             max_events: None,
@@ -227,20 +79,16 @@ profile dave\ntsim 2\nruns 1\nseed 7\npdrmin 0.9\ngeometry 1.15\ntraffic 25 64\n
             checkpoint_every: None,
         };
         let t0 = Instant::now();
-        {
-            let _main = collector.install(0, 0);
-            for profile in &profiles {
-                let protocol = profile.protocol();
-                let key = profile.eval_fingerprint(None);
-                let evaluator = fleet.evaluator(key, || {
-                    hi_serve::FleetEvaluator::Nominal(protocol.shared_evaluator())
-                });
-                hi_serve::run_profile(profile, &evaluator, &exec, policy, None, &mut |_| {})
-                    .expect("fleet profile runs");
-            }
+        for profile in &profiles {
+            let protocol = profile.protocol();
+            let key = profile.eval_fingerprint(None);
+            let evaluator = fleet.evaluator(key, || {
+                hi_serve::FleetEvaluator::Nominal(protocol.shared_evaluator())
+            });
+            hi_serve::run_profile(profile, &evaluator, &exec, policy, None, &mut |_| {})
+                .expect("fleet profile runs");
         }
         let wall_s = t0.elapsed().as_secs_f64();
-        exec.flush_pool_stats();
         let stats = fleet.stats();
         println!(
             "  sweep/fleet_dedup_{}profiles_{}threads   {:.3}s, {} evaluator(s), {} hits / {} misses",
@@ -251,14 +99,6 @@ profile dave\ntsim 2\nruns 1\nseed 7\npdrmin 0.9\ngeometry 1.15\ntraffic 25 64\n
             stats.hits,
             stats.misses
         );
-        bench_report.push(EngineRun {
-            engine: "fleet_dedup".to_string(),
-            threads: t,
-            wall_s,
-            simulations: registry.counter_value(wk::NET_REPLICATIONS),
-            cache_hits: stats.hits,
-            cache_misses: stats.misses,
-        });
         if threads == 1 {
             break;
         }
@@ -293,44 +133,16 @@ profile dave\ntsim 2\nruns 1\nseed 7\npdrmin 0.9\ngeometry 1.15\ntraffic 25 64\n
             archive
         };
         runner.bench(&format!("pareto_front_build_{}pts", evals.len()), build);
-        let t0 = Instant::now();
         let archive = build();
-        let build_s = t0.elapsed().as_secs_f64();
         let front = archive.front();
         let segment = hi_serve::render_front_segment(0x42, &front);
         runner.bench(&format!("pareto_front_hydrate_{}pts", front.len()), || {
             let load = hi_serve::parse_front_segment(&segment).expect("bench segment is valid");
             let mut warm = hi_pareto::ParetoArchive::new(hi_pareto::ArchiveConfig::default());
-            for point in load.points {
+            for point in load.entries {
                 warm.insert(point);
             }
             assert_eq!(warm.len(), front.len(), "hydration changed the front");
-        });
-        let t1 = Instant::now();
-        let load = hi_serve::parse_front_segment(&segment).expect("bench segment is valid");
-        let mut warm = hi_pareto::ParetoArchive::new(hi_pareto::ArchiveConfig::default());
-        for point in load.points {
-            warm.insert(point);
-        }
-        let hydrate_s = t1.elapsed().as_secs_f64();
-        // Report rows: `cache_hits` carries the surviving front size,
-        // `cache_misses` the dominated remainder — the archive's own
-        // accept/reject split — and `simulations` stays honest at 0.
-        bench_report.push(EngineRun {
-            engine: "pareto_front_build".to_string(),
-            threads: 1,
-            wall_s: build_s,
-            simulations: 0,
-            cache_hits: front.len() as u64,
-            cache_misses: (evals.len() - front.len()) as u64,
-        });
-        bench_report.push(EngineRun {
-            engine: "pareto_front_hydrate".to_string(),
-            threads: 1,
-            wall_s: hydrate_s,
-            simulations: 0,
-            cache_hits: warm.len() as u64,
-            cache_misses: (front.len() - warm.len()) as u64,
         });
     }
 
@@ -370,40 +182,27 @@ profile dave\ntsim 2\nruns 1\nseed 7\npdrmin 0.9\ngeometry 1.15\ntraffic 25 64\n
     };
     {
         // Pass 1 (cold, spilled): equivalent to a daemon run + SHUTDOWN.
-        let collector = Collector::metrics_only();
-        wk::register_all(collector.registry().expect("registry"));
-        let exec = ExecContext::new(threads).with_collector(collector.clone());
+        let exec = ExecContext::new(threads);
         let fleet = hi_serve::FleetCache::new();
         let (store, _) = hi_serve::SegmentStore::open(cache_dir.clone(), 256, None)
             .expect("bench cache dir is writable");
-        {
-            let _main = collector.install(0, 0);
-            run_fleet(&fleet, &exec, None);
-        }
+        run_fleet(&fleet, &exec, None);
         for (key, evaluator) in fleet.streams() {
             store
                 .flush(key, &evaluator.export_entries())
                 .expect("segments flush");
         }
-        exec.flush_pool_stats();
     }
     {
         // Pass 2 (warm restart): fresh in-memory state, warm disk.
-        let collector = Collector::metrics_only();
-        let registry = collector.registry().expect("registry");
-        wk::register_all(registry);
-        let exec = ExecContext::new(threads).with_collector(collector.clone());
+        let exec = ExecContext::new(threads);
         let fleet = hi_serve::FleetCache::new();
         let (store, notes) = hi_serve::SegmentStore::open(cache_dir.clone(), 256, None)
             .expect("bench cache dir reloads");
         assert!(notes.is_empty(), "clean segments reload clean: {notes:?}");
         let t0 = Instant::now();
-        {
-            let _main = collector.install(0, 0);
-            run_fleet(&fleet, &exec, Some(&store));
-        }
+        run_fleet(&fleet, &exec, Some(&store));
         let wall_s = t0.elapsed().as_secs_f64();
-        exec.flush_pool_stats();
         let stats = fleet.stats();
         let hit_rate = stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64;
         println!(
@@ -414,29 +213,6 @@ profile dave\ntsim 2\nruns 1\nseed 7\npdrmin 0.9\ngeometry 1.15\ntraffic 25 64\n
             stats.misses,
             hit_rate * 100.0
         );
-        bench_report.push(EngineRun {
-            engine: "fleet_warm_restart".to_string(),
-            threads,
-            wall_s,
-            simulations: registry.counter_value(wk::NET_REPLICATIONS),
-            cache_hits: stats.hits,
-            cache_misses: stats.misses,
-        });
     }
     let _ = std::fs::remove_dir_all(&cache_dir);
-
-    // Land the report at the workspace root (cargo runs benches with the
-    // package directory as cwd); HI_BENCH_REPORT_DIR overrides.
-    let dir = std::env::var_os("HI_BENCH_REPORT_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .to_path_buf()
-        });
-    let out = dir.join(bench_report.file_name());
-    match bench_report.write_to(&out) {
-        Ok(()) => println!("  sweep/report written to {}", out.display()),
-        Err(e) => eprintln!("  sweep/report FAILED to write {}: {e}", out.display()),
-    }
 }

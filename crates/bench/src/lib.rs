@@ -10,7 +10,6 @@
 #![forbid(unsafe_code)]
 
 pub mod micro;
-pub mod report;
 
 use hi_core::{DesignPoint, Evaluation, ExecContext, SharedSimEvaluator, SimProtocol};
 use hi_des::SimDuration;

@@ -201,8 +201,7 @@ impl Default for ExploreOptions {
 /// `observer` receives a snapshot of the full exploration state (taken
 /// after that level's power cut, so it resumes bit-identically). The
 /// observer is the persistence policy — the CLI writes each snapshot
-/// crash-safely via
-/// [`ExploreCheckpoint::write_atomic`](crate::ExploreCheckpoint::write_atomic);
+/// crash-safely via [`store::write_atomic`](crate::store::write_atomic);
 /// tests collect them in memory. Observer calls happen on the driving
 /// thread, between iterations, so they never perturb evaluation order.
 ///

@@ -18,32 +18,22 @@
 //!
 //! # Crash safety (format v2)
 //!
-//! Version 2 arms the format against the failure this file exists for —
-//! the process dying mid-write:
-//!
-//! * [`to_text`](ExploreCheckpoint::to_text) ends the file with a
-//!   `crc32 <8 hex digits>` trailer over every byte through the `end`
-//!   line, so truncation and bit rot are *detected*, never resumed from;
-//! * [`write_atomic`](ExploreCheckpoint::write_atomic) stages the bytes
-//!   in a `.tmp` sibling, fsyncs, rotates any previous checkpoint to
-//!   `.prev`, then renames into place — a reader observes either the old
-//!   intact file or the new intact file, never a torn one;
-//! * [`load_recovering`] falls back to the `.prev` rotation when the
-//!   primary file is unusable, reporting exactly what was wrong with the
-//!   primary ([`CheckpointRecovery::fallback`]); when both are unusable
-//!   the error keeps the primary's line-precise diagnostic and is typed
-//!   ([`CheckpointLoadError`]) so the CLI can tell an unreadable file
-//!   (exit 3) from a corrupt one (exit 4).
+//! Version 2 is the v1 body sealed with the [`crate::store`] CRC-32
+//! trailer, so truncation and bit rot are *detected*, never resumed
+//! from. Callers write it with [`store::write_atomic`] and read it back
+//! with [`store::load_recovering`] over [`load_checkpoint_file`], whose
+//! typed [`CheckpointLoadError`] lets the CLI tell an unreadable file
+//! (exit 3) from a corrupt one (exit 4).
 //!
 //! Version 1 files (no trailer) still parse, so pre-v2 checkpoints
 //! remain resumable.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::algorithm1::{ExploreError, ExploreOptions, Problem};
-use crate::crc32::crc32_ieee;
 use crate::evaluator::Evaluation;
 use crate::point::DesignPoint;
+use crate::store;
 
 /// Engine label recorded in checkpoints by the paper's Algorithm 1 (the
 /// default: a checkpoint with no `engine` line belongs to it).
@@ -127,41 +117,6 @@ fn f64_from_hex(s: &str) -> Result<f64, String> {
         .map_err(|_| format!("bad float bits {s:?}"))
 }
 
-/// `<path><suffix>` in the same directory (`x.ck` → `x.ck.prev`).
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(suffix);
-    PathBuf::from(os)
-}
-
-/// Splits a v2 file into the CRC-covered body and the recorded CRC.
-/// Returns `(body, recorded_crc, trailer_line_number)`.
-fn split_crc_trailer(text: &str) -> Result<(&str, u32, usize), String> {
-    // The trailer is the last non-empty line; everything before its first
-    // byte (including the newline that ends the `end` line) is covered.
-    let mut trailer: Option<(usize, usize, &str)> = None;
-    let mut offset = 0;
-    for (index, line) in text.split_inclusive('\n').enumerate() {
-        if !line.trim().is_empty() {
-            trailer = Some((index + 1, offset, line.trim()));
-        }
-        offset += line.len();
-    }
-    let Some((lineno, start, line)) = trailer else {
-        return Err("truncated checkpoint: missing crc32 trailer".into());
-    };
-    let Some(rest) = line.strip_prefix("crc32 ") else {
-        return Err("truncated checkpoint: missing crc32 trailer".into());
-    };
-    let rest = rest.trim();
-    if rest.len() != 8 {
-        return Err(format!("line {lineno}: bad crc32 trailer {rest:?}"));
-    }
-    let recorded = u32::from_str_radix(rest, 16)
-        .map_err(|_| format!("line {lineno}: bad crc32 trailer {rest:?}"))?;
-    Ok((&text[..start], recorded, lineno))
-}
-
 impl ExploreCheckpoint {
     /// Captures the state of a finished (or budget-stopped) exploration.
     pub fn from_outcome(
@@ -224,8 +179,7 @@ impl ExploreCheckpoint {
             )),
         }
         out.push_str("end\n");
-        out.push_str(&format!("crc32 {:08x}\n", crc32_ieee(out.as_bytes())));
-        out
+        store::seal(out)
     }
 
     /// Parses the text format written by [`to_text`](Self::to_text), or
@@ -247,15 +201,7 @@ impl ExploreCheckpoint {
                 "line 1: expected {HEADER_V2:?} (or legacy {HEADER_V1:?}), got {header:?}"
             ));
         }
-        let (body, recorded, lineno) = split_crc_trailer(text)?;
-        let computed = crc32_ieee(body.as_bytes());
-        if computed != recorded {
-            return Err(format!(
-                "line {lineno}: crc32 mismatch (recorded {recorded:08x}, computed \
-                 {computed:08x}) — the checkpoint is corrupt or truncated"
-            ));
-        }
-        Self::parse_body(body, HEADER_V2)
+        Self::parse_body(store::unseal(text)?, HEADER_V2)
     }
 
     /// Parses the line-oriented body shared by both format versions.
@@ -364,28 +310,6 @@ impl ExploreCheckpoint {
             best: best.ok_or("missing best")?,
         })
     }
-
-    /// Writes the checkpoint to `path` crash-safely: the bytes are staged
-    /// in `<path>.tmp` and fsynced, any existing checkpoint rotates to
-    /// `<path>.prev`, and the stage renames into place. A crash at any
-    /// point leaves either the previous intact file, the new intact file,
-    /// or an intact `.prev` that [`load_recovering`] falls back to —
-    /// never a torn checkpoint under the primary name.
-    pub fn write_atomic(&self, path: &Path) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let tmp = sibling(path, ".tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(self.to_text().as_bytes())?;
-            file.sync_all()?;
-        }
-        if path.exists() {
-            // A failed rotation only costs the fallback copy; the rename
-            // below still lands the new checkpoint atomically.
-            let _ = std::fs::rename(path, sibling(path, ".prev"));
-        }
-        std::fs::rename(&tmp, path)
-    }
 }
 
 /// Why a checkpoint could not be loaded, typed by whose fault it is so
@@ -410,17 +334,6 @@ impl std::fmt::Display for CheckpointLoadError {
 
 impl std::error::Error for CheckpointLoadError {}
 
-/// A successfully loaded checkpoint, with provenance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckpointRecovery {
-    /// The loaded state.
-    pub checkpoint: ExploreCheckpoint,
-    /// `Some(diagnostic)` when the primary file was unusable and the
-    /// `.prev` rotation was loaded instead; the diagnostic says exactly
-    /// what was wrong with the primary. `None` for a clean load.
-    pub fallback: Option<String>,
-}
-
 /// Reads and parses the checkpoint at `path` (either format version).
 pub fn load_checkpoint_file(path: &Path) -> Result<ExploreCheckpoint, CheckpointLoadError> {
     let text = std::fs::read_to_string(path).map_err(|e| {
@@ -428,39 +341,6 @@ pub fn load_checkpoint_file(path: &Path) -> Result<ExploreCheckpoint, Checkpoint
     })?;
     ExploreCheckpoint::from_text(&text)
         .map_err(|e| CheckpointLoadError::Spec(format!("{}: {e}", path.display())))
-}
-
-/// Loads `path`, falling back to the `<path>.prev` rotation
-/// [`write_atomic`](ExploreCheckpoint::write_atomic) maintains when the
-/// primary is unreadable or corrupt.
-///
-/// # Errors
-///
-/// When both files are unusable, the primary's diagnostic wins (it is the
-/// file the user named, and its message is line-precise); the error kind
-/// is the primary's too, so a corrupt checkpoint stays a spec error even
-/// if no rotation exists.
-pub fn load_recovering(path: &Path) -> Result<CheckpointRecovery, CheckpointLoadError> {
-    let primary_err = match load_checkpoint_file(path) {
-        Ok(checkpoint) => {
-            return Ok(CheckpointRecovery {
-                checkpoint,
-                fallback: None,
-            })
-        }
-        Err(e) => e,
-    };
-    let prev = sibling(path, ".prev");
-    match load_checkpoint_file(&prev) {
-        Ok(checkpoint) => Ok(CheckpointRecovery {
-            checkpoint,
-            fallback: Some(format!(
-                "{primary_err}; recovered from the previous auto-checkpoint `{}`",
-                prev.display()
-            )),
-        }),
-        Err(_) => Err(primary_err),
-    }
 }
 
 #[cfg(test)]
@@ -501,8 +381,7 @@ mod tests {
         let end = body_and_old_trailer
             .rfind("crc32 ")
             .expect("v2 text has a trailer");
-        let body = &body_and_old_trailer[..end];
-        format!("{body}crc32 {:08x}\n", crc32_ieee(body.as_bytes()))
+        store::seal(body_and_old_trailer[..end].to_string())
     }
 
     #[test]
@@ -644,31 +523,31 @@ mod tests {
             iterations: 2,
             ..sample()
         };
-        first.write_atomic(&path).unwrap();
-        let clean = load_recovering(&path).unwrap();
-        assert_eq!(clean.checkpoint, first);
-        assert!(clean.fallback.is_none());
+        let write = |cp: &ExploreCheckpoint| store::write_atomic(&path, cp.to_text().as_bytes());
+        let load = |path: &Path| store::load_recovering(path, load_checkpoint_file);
+        write(&first).unwrap();
+        assert_eq!(load(&path).unwrap(), (first.clone(), None));
 
-        second.write_atomic(&path).unwrap();
-        assert_eq!(load_recovering(&path).unwrap().checkpoint, second);
+        write(&second).unwrap();
+        assert_eq!(load(&path).unwrap().0, second);
         // The rotation holds the previous state...
         assert_eq!(
-            load_checkpoint_file(&sibling(&path, ".prev")).unwrap(),
+            load_checkpoint_file(&store::prev_path(&path)).unwrap(),
             first
         );
 
         // ...and a torn primary falls back to it with a diagnostic.
         let torn = &second.to_text()[..40];
         std::fs::write(&path, torn).unwrap();
-        let recovered = load_recovering(&path).unwrap();
-        assert_eq!(recovered.checkpoint, first);
-        let note = recovered.fallback.unwrap();
+        let (recovered, fallback) = load(&path).unwrap();
+        assert_eq!(recovered, first);
+        let note = fallback.unwrap().to_string();
         assert!(note.contains("state.ck"), "{note}");
-        assert!(note.contains("recovered from"), "{note}");
+        assert!(note.contains("missing crc32 trailer"), "{note}");
 
         // Both gone bad: the primary's line-precise spec error survives.
-        std::fs::write(sibling(&path, ".prev"), "not a checkpoint\n").unwrap();
-        match load_recovering(&path).unwrap_err() {
+        std::fs::write(store::prev_path(&path), "not a checkpoint\n").unwrap();
+        match load(&path).unwrap_err() {
             CheckpointLoadError::Spec(msg) => {
                 assert!(msg.contains("state.ck"), "{msg}")
             }
@@ -677,7 +556,7 @@ mod tests {
         // Primary missing entirely, rotation bad: an I/O error.
         std::fs::remove_file(&path).unwrap();
         assert!(matches!(
-            load_recovering(&path).unwrap_err(),
+            load(&path).unwrap_err(),
             CheckpointLoadError::Io(_)
         ));
         std::fs::remove_dir_all(&dir).unwrap();

@@ -70,6 +70,7 @@ mod robust;
 mod robust_milp;
 mod robustness;
 mod sa;
+pub mod store;
 mod suitefile;
 mod supervised;
 mod tradeoff;
@@ -78,8 +79,8 @@ pub use algorithm1::{
     explore, ExplorationOutcome, ExploreError, ExploreOptions, Problem, StopReason,
 };
 pub use checkpoint::{
-    load_checkpoint_file, load_recovering, CheckpointLoadError, CheckpointRecovery,
-    ExploreCheckpoint, ENGINE_ALGORITHM1, ENGINE_ILP_HEURISTIC, ENGINE_ROBUST_MILP,
+    load_checkpoint_file, CheckpointLoadError, ExploreCheckpoint, ENGINE_ALGORITHM1,
+    ENGINE_ILP_HEURISTIC, ENGINE_ROBUST_MILP,
 };
 pub use constraints::{DesignSpace, TopologyConstraints};
 pub use crc32::crc32_ieee;

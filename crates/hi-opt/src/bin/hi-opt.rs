@@ -28,7 +28,7 @@ use hi_opt::net::{
 };
 use hi_opt::{
     explore, explore_tradeoff_par, ilp_heuristic_search, parse_fault_suite, robust_milp_search,
-    supervision_spec, ChaosPolicy, CheckpointLoadError, DesignSpace, ExecContext,
+    store, supervision_spec, ChaosPolicy, CheckpointLoadError, DesignSpace, ExecContext,
     ExplorationOutcome, ExploreCheckpoint, ExploreError, ExploreOptions, FaultSuite, MilpEncoding,
     Problem, RetryPolicy, RobustEvaluator, RobustMode, RobustnessSpec, SimProtocol,
     SuiteParseError, SupervisedEvaluator, Supervisor, TopologyConstraints, ENGINE_ALGORITHM1,
@@ -462,14 +462,19 @@ fn robust_name(mode: RobustMode) -> String {
 /// the primary file is torn or corrupt. The fallback diagnostic goes to
 /// stderr so resumed stdout stays byte-identical.
 fn load_checkpoint(path: &str) -> Result<ExploreCheckpoint, CliError> {
-    let recovery = hi_opt::load_recovering(Path::new(path)).map_err(|e| match e {
-        CheckpointLoadError::Io(msg) => CliError::Io(msg),
-        CheckpointLoadError::Spec(msg) => CliError::Spec(msg),
-    })?;
-    if let Some(diagnostic) = recovery.fallback {
-        eprintln!("checkpoint: {diagnostic}");
+    let path = Path::new(path);
+    let (checkpoint, fallback) = store::load_recovering(path, hi_opt::load_checkpoint_file)
+        .map_err(|e| match e {
+            CheckpointLoadError::Io(msg) => CliError::Io(msg),
+            CheckpointLoadError::Spec(msg) => CliError::Spec(msg),
+        })?;
+    if let Some(primary) = fallback {
+        eprintln!(
+            "checkpoint: {primary}; recovered from the previous auto-checkpoint `{}`",
+            store::prev_path(path).display()
+        );
     }
-    Ok(recovery.checkpoint)
+    Ok(checkpoint)
 }
 
 /// Reads, parses and lints a fault-suite file. Lint findings go to
@@ -742,7 +747,7 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
     let autosave_path = checkpoint.clone();
     let mut observer = move |cp: &ExploreCheckpoint| {
         let Some(path) = &autosave_path else { return };
-        match cp.write_atomic(Path::new(path)) {
+        match store::write_atomic(Path::new(path), cp.to_text().as_bytes()) {
             Ok(()) => eprintln!(
                 "checkpoint: auto-saved {} iteration(s), {} simulation(s) to `{path}`",
                 cp.iterations, cp.simulations
@@ -895,7 +900,7 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
     if let Some(path) = &checkpoint {
         let cp = ExploreCheckpoint::from_outcome(pdr_min, options.alpha_correction, &outcome)
             .with_engine(engine.label());
-        cp.write_atomic(Path::new(path))
+        store::write_atomic(Path::new(path), cp.to_text().as_bytes())
             .map_err(|e| CliError::Io(format!("cannot write checkpoint `{path}`: {e}")))?;
         // Stderr, so a resumed run's stdout stays byte-identical to an
         // uninterrupted one.
@@ -986,7 +991,9 @@ fn cmd_tradeoff(args: &[String]) -> Result<(), CliError> {
         }
     }
     // Warm path: a front segment for this exact physics already exists —
-    // answer from it, zero fresh simulations, no sweep at all.
+    // answer from it, zero fresh simulations, no sweep at all. A torn
+    // file holds only a prefix of the front, so it is a miss: the cold
+    // sweep below runs and rewrites it. Bit rot stays a spec error.
     if let Some(dir) = &archive_dir {
         let path = hi_opt::serve::front_path(dir, archive_key(&common));
         if path.is_file() {
@@ -994,13 +1001,20 @@ fn cmd_tradeoff(args: &[String]) -> Result<(), CliError> {
                 .map_err(|e| CliError::Io(format!("cannot read `{}`: {e}", path.display())))?;
             let load = hi_opt::serve::parse_front_segment(&bytes)
                 .map_err(|e| CliError::Spec(format!("{}: {e}", path.display())))?;
-            let mut archive = hi_opt::pareto::ParetoArchive::new(eps);
-            for point in load.points {
-                archive.insert(point);
+            if let Some(torn) = load.torn {
+                eprintln!(
+                    "note: {}: torn archive ({torn}); recomputing the front",
+                    path.display()
+                );
+            } else {
+                let mut archive = hi_opt::pareto::ParetoArchive::new(eps);
+                for point in load.entries {
+                    archive.insert(point);
+                }
+                print_front(&archive.front());
+                println!("total unique simulations: 0");
+                return Ok(());
             }
-            print_front(&archive.front());
-            println!("total unique simulations: 0");
-            return Ok(());
         }
     }
     let template = Problem::paper_default(0.5);
@@ -1027,9 +1041,9 @@ fn cmd_tradeoff(args: &[String]) -> Result<(), CliError> {
         }
     }
     // Cold populate: fold every evaluation the sweep cached into the
-    // archive and persist the resulting front (tmp + rename, so a
-    // killed run leaves either the old segment or the new one, never a
-    // half-written file). The printed front section is byte-identical
+    // archive and persist the resulting front atomically, so a killed
+    // run leaves either the old segment or the new one, never a
+    // half-written file. The printed front section is byte-identical
     // to what the warm path will print for the same physics.
     if let Some(dir) = &archive_dir {
         let mut archive = hi_opt::pareto::ParetoArchive::new(eps);
@@ -1047,10 +1061,8 @@ fn cmd_tradeoff(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| CliError::Io(format!("cannot create `{}`: {e}", dir.display())))?;
         let key = archive_key(&common);
         let path = hi_opt::serve::front_path(dir, key);
-        let tmp = path.with_extension("seg.tmp");
         let bytes = hi_opt::serve::render_front_segment(key, &front);
-        std::fs::write(&tmp, bytes)
-            .and_then(|()| std::fs::rename(&tmp, &path))
+        store::write_atomic(&path, &bytes)
             .map_err(|e| CliError::Io(format!("cannot write `{}`: {e}", path.display())))?;
         print_front(&front);
     }

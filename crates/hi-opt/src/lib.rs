@@ -59,14 +59,13 @@ pub mod cli;
 
 pub use hi_core::{
     deviation_power_mw, exhaustive_search, explore, explore_tradeoff_par, ilp_heuristic_search,
-    load_checkpoint_file, load_recovering, parse_fault_suite, robust_milp_search,
-    simulated_annealing, simulated_annealing_restarts, supervision_spec, warmup_events_floor,
-    AppProfile, CancelToken, ChaosPolicy, CheckpointLoadError, CheckpointRecovery, DesignPoint,
-    DesignSpace, EvalError, Evaluation, ExecContext, ExhaustiveOutcome, ExplorationOutcome,
-    ExploreCheckpoint, ExploreError, ExploreOptions, FaultSuite, FnEvaluator, LinkDeviation,
-    MacChoice, MilpEncoding, Placement, PointEvaluator, Problem, RetryPolicy, RobustEvaluation,
-    RobustEvaluator, RobustMode, RobustOutcome, RobustnessSpec, RouteChoice, SaOutcome, SaParams,
-    SharedSimEvaluator, SimProtocol, StopReason, SuiteParseError, SupervisedEvaluator, Supervisor,
-    TopologyConstraints, TradeoffPoint, DEVIATION_CAP_DB, ENGINE_ALGORITHM1, ENGINE_ILP_HEURISTIC,
-    ENGINE_ROBUST_MILP,
+    load_checkpoint_file, parse_fault_suite, robust_milp_search, simulated_annealing,
+    simulated_annealing_restarts, store, supervision_spec, warmup_events_floor, AppProfile,
+    CancelToken, ChaosPolicy, CheckpointLoadError, DesignPoint, DesignSpace, EvalError, Evaluation,
+    ExecContext, ExhaustiveOutcome, ExplorationOutcome, ExploreCheckpoint, ExploreError,
+    ExploreOptions, FaultSuite, FnEvaluator, LinkDeviation, MacChoice, MilpEncoding, Placement,
+    PointEvaluator, Problem, RetryPolicy, RobustEvaluation, RobustEvaluator, RobustMode,
+    RobustOutcome, RobustnessSpec, RouteChoice, SaOutcome, SaParams, SharedSimEvaluator,
+    SimProtocol, StopReason, SuiteParseError, SupervisedEvaluator, Supervisor, TopologyConstraints,
+    TradeoffPoint, DEVIATION_CAP_DB, ENGINE_ALGORITHM1, ENGINE_ILP_HEURISTIC, ENGINE_ROBUST_MILP,
 };

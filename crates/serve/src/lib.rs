@@ -30,8 +30,9 @@
 //! * [`front`](FrontStore) — a per-stream `hi-pareto` archive over
 //!   `(power, PDR, latency)`, fed incrementally by every job through
 //!   the shared cache, persisted in CRC-checked front segments beside
-//!   the cache segments, and served by `FRONT` — warm after a restart,
-//!   with zero fresh simulations.
+//!   the cache segments (both logs are one [`LogStore`] over a payload
+//!   codec), and served by `FRONT` — warm after a restart, with zero
+//!   fresh simulations.
 //!
 //! Everything is std-only and deterministic: jobs run serially in id
 //! order, so the cache state any job observes is a pure function of the
@@ -53,7 +54,7 @@ pub use fleet::{
 };
 pub use front::{
     front_path, parse_front_entry, parse_front_segment, render_front_entry, render_front_segment,
-    FrontLoad, FrontStats, FrontStore,
+    FrontCodec, FrontLoad, FrontStore,
 };
 pub use persist::{
     checkpoint_path, load_job_recovering, record_path, scan_records, JobRecord, JobState,
@@ -68,6 +69,7 @@ pub use proto::{
 };
 pub use segment::{
     frame_entry, parse_entry, parse_segment, render_entry, render_segment, segment_path,
-    CachedOutcome, SegmentLoad, SegmentStats, SegmentStore, SettleOutcome,
+    CacheCodec, CachedOutcome, LogCodec, LogLoad, LogStats, LogStore, SegmentLoad, SegmentStore,
+    SettleOutcome,
 };
 pub use server::{run, serve_connection, ServeConfig, Server};

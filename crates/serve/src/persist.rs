@@ -1,7 +1,7 @@
-//! Crash-safe job records: every job's lifecycle state on disk, in the
-//! PR-5 checkpoint idiom (versioned text, CRC-32 trailer, atomic
-//! `.tmp`/`.prev` rotation), so a SIGKILLed daemon restarts into the
-//! queue it was serving.
+//! Crash-safe job records: every job's lifecycle state on disk, as a
+//! body codec over [`hi_core::store`] (versioned text, CRC-32 trailer,
+//! atomic `.tmp`/`.prev` rotation), so a SIGKILLed daemon restarts into
+//! the queue it was serving.
 //!
 //! One file per job, `job-<id>.rec` in the daemon's state directory:
 //!
@@ -25,13 +25,13 @@
 //! silently half-loaded.
 //!
 //! Algorithm-1 jobs additionally auto-save an `ExploreCheckpoint` next
-//! to their record (`job-<id>.ck`, the unmodified PR-5 machinery), which
+//! to their record (`job-<id>.ck`, written through the same store), which
 //! is what makes a restart *resume* mid-search instead of starting over.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use hi_core::crc32_ieee;
+use hi_core::store;
 
 /// A job's lifecycle state. `Queued → Running → Done | Failed |
 /// Cancelled`; the three right-hand states are terminal.
@@ -135,34 +135,17 @@ impl JobRecord {
             body.push('\n');
         }
         body.push_str("end\n");
-        let crc = crc32_ieee(body.as_bytes());
-        body.push_str(&format!("crc32 {crc:08x}\n"));
-        body
+        store::seal(body)
     }
 
     /// Parses a record, verifying header and CRC trailer.
     pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        if lines.next() != Some(HEADER) {
+        if text.lines().next() != Some(HEADER) {
             return Err(format!("missing `{HEADER}` header"));
         }
         // CRC first: everything after it is untrustworthy otherwise.
-        let trailer_at = text
-            .rfind("crc32 ")
-            .ok_or("missing crc32 trailer".to_string())?;
-        let body = &text[..trailer_at];
-        let stated = text[trailer_at..]
-            .trim_end()
-            .strip_prefix("crc32 ")
-            .and_then(|h| u32::from_str_radix(h, 16).ok())
-            .ok_or("malformed crc32 trailer".to_string())?;
-        let actual = crc32_ieee(body.as_bytes());
-        if stated != actual {
-            return Err(format!(
-                "crc32 mismatch: trailer says {stated:08x}, body hashes to {actual:08x} \
-                 (torn write?)"
-            ));
-        }
+        let mut lines = store::unseal(text)?.lines();
+        lines.next();
         fn take_kv(lines: &mut std::str::Lines<'_>, key: &str) -> Result<String, String> {
             let line = lines.next().ok_or(format!("truncated before `{key}`"))?;
             line.strip_prefix(key)
@@ -221,56 +204,24 @@ impl JobRecord {
             result: (result_count > 0).then_some(result_text),
         })
     }
-
-    /// Atomically persists the record at `path`: stage to `.tmp`, fsync,
-    /// rotate the old file to `.prev`, rename into place — the PR-5
-    /// checkpoint discipline, so a crash at any instant leaves an intact
-    /// record under `path` or `path.prev`.
-    pub fn write_atomic(&self, path: &Path) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let tmp = sibling(path, ".tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(self.to_text().as_bytes())?;
-            file.sync_all()?;
-        }
-        if path.exists() {
-            let _ = std::fs::rename(path, sibling(path, ".prev"));
-        }
-        std::fs::rename(&tmp, path)
-    }
-}
-
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(suffix);
-    PathBuf::from(name)
 }
 
 /// Loads a job record, falling back to `.prev` when the primary copy is
 /// torn or missing. Returns the record and whether the fallback was
 /// used (worth a diagnostic). Errors only when *both* copies are
-/// unusable.
+/// unusable, with the primary's diagnostic.
 pub fn load_job_recovering(path: &Path) -> Result<(JobRecord, bool), String> {
-    let primary = std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| JobRecord::from_text(&text));
-    match primary {
-        Ok(record) => Ok((record, false)),
-        Err(primary_err) => {
-            let prev = sibling(path, ".prev");
-            let fallback = std::fs::read_to_string(&prev)
-                .map_err(|e| e.to_string())
-                .and_then(|text| JobRecord::from_text(&text));
-            match fallback {
-                Ok(record) => Ok((record, true)),
-                Err(prev_err) => Err(format!(
-                    "{}: {primary_err}; fallback {}: {prev_err}",
-                    path.display(),
-                    prev.display()
-                )),
-            }
-        }
+    let read = |p: &Path| {
+        std::fs::read_to_string(p)
+            .map_err(|e| e.to_string())
+            .and_then(|text| JobRecord::from_text(&text))
+    };
+    match store::load_recovering(path, read) {
+        Ok((record, fallback)) => Ok((record, fallback.is_some())),
+        Err(e) => Err(format!(
+            "{}: {e} (its .prev rotation is unusable too)",
+            path.display()
+        )),
     }
 }
 
@@ -386,11 +337,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hi-serve-persist-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = record_path(&dir, 3);
+        let write = |record: &JobRecord| store::write_atomic(&path, record.to_text().as_bytes());
         let mut record = sample();
         record.state = JobState::Queued;
-        record.write_atomic(&path).unwrap();
+        write(&record).unwrap();
         record.state = JobState::Done;
-        record.write_atomic(&path).unwrap();
+        write(&record).unwrap();
         let (loaded, fallback) = load_job_recovering(&path).unwrap();
         assert!(!fallback);
         assert_eq!(loaded.state, JobState::Done);

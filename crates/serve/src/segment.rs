@@ -1,9 +1,15 @@
-//! Durable cache segments: the fleet pool's point→outcome maps spilled
-//! to disk, so a restarted daemon re-serves previously simulated points
-//! with `simulations 0` instead of paying for them again.
+//! Durable append-only logs, and the evaluation-cache format on top of
+//! them: the fleet pool's point→outcome maps spilled to disk, so a
+//! restarted daemon re-serves previously simulated points with
+//! `simulations 0` instead of paying for them again.
 //!
-//! One file per evaluator stream, `cache-<key>.seg` in the daemon's
-//! cache directory (`key` is the profile's evaluation fingerprint):
+//! [`LogStore`] is the one store behind both of the daemon's log
+//! formats; a [`LogCodec`] supplies what differs between them — file
+//! names, header, payload grammar and counters. [`SegmentStore`] logs
+//! cache outcomes ([`CacheCodec`]); [`crate::FrontStore`] logs Pareto
+//! front points (`crate::front`). One file per evaluator stream,
+//! `<prefix>-<key>.seg` in the daemon's cache directory (`key` is the
+//! profile's evaluation fingerprint). A cache segment reads:
 //!
 //! ```text
 //! hi-serve cache segment v1
@@ -20,11 +26,10 @@
 //! canonical rendered form is always four-wide.
 //!
 //! Each `entry` line frames one payload by byte length and CRC-32-IEEE
-//! over exactly the payload bytes — the PR-5 record discipline applied
-//! to an *append-only* file. Appends are the settle path (cheap, one
-//! `fsync` per batch); every `compact_threshold` appends the file is
-//! rewritten through the atomic `.tmp`/fsync/`.prev` rotation so it
-//! never grows without bound.
+//! over exactly the payload bytes. Appends are the settle path (cheap,
+//! one `fsync` per batch); every `compact_threshold` appends the file is
+//! rewritten through [`hi_core::store::write_atomic`] so it never grows
+//! without bound.
 //!
 //! Loading distinguishes two failure modes precisely:
 //!
@@ -43,14 +48,14 @@
 //! diagnostics across daemon upgrades.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use hi_core::{crc32_ieee, ChaosPolicy, DesignPoint, Evaluation, RobustEvaluation};
-
-const HEADER: &str = "hi-serve cache segment v1";
+use hi_core::{crc32_ieee, store, ChaosPolicy, DesignPoint, Evaluation, RobustEvaluation};
+use hi_trace::wellknown as wk;
 
 /// One persistable cache outcome: a nominal evaluation or a robust
 /// scorecard, tagged with its design point.
@@ -204,13 +209,134 @@ pub fn parse_entry(payload: &str) -> Result<CachedOutcome, String> {
     Ok(outcome)
 }
 
-/// The outcome of parsing one segment file.
+/// The evaluation-cache log format: `cache-<key>.seg` files of
+/// [`CachedOutcome`] entries.
+#[derive(Debug, Clone, Copy)]
+pub struct CacheCodec;
+
+impl LogCodec for CacheCodec {
+    type Entry = CachedOutcome;
+    const PREFIX: &'static str = "cache";
+    const HEADER: &'static str = "hi-serve cache segment v1";
+    const LABEL: &'static str = "cache segment";
+    const LOADED_METRIC: &'static str = wk::SERVE_CACHE_LOADED;
+    const PERSISTED_METRIC: &'static str = wk::SERVE_CACHE_PERSISTED;
+    const NOUN: &'static str = "entries";
+    const SUBJECT: &'static str = "stream";
+    // A chaos-dropped in-memory entry must stay on disk: the cache
+    // snapshot may lack what the log rightly holds.
+    const FOLDS_STALE: bool = false;
+
+    fn render(entry: &CachedOutcome) -> String {
+        render_entry(entry)
+    }
+
+    fn parse(payload: &str) -> Result<CachedOutcome, String> {
+        parse_entry(payload)
+    }
+
+    fn fingerprint(entry: &CachedOutcome) -> u64 {
+        entry.fingerprint()
+    }
+}
+
+/// The durable side of the fleet pool: one append-mostly segment file
+/// per evaluator stream, loaded and verified at daemon start.
+pub type SegmentStore = LogStore<CacheCodec>;
+
+/// The outcome of parsing one cache segment file.
+pub type SegmentLoad = LogLoad<CachedOutcome>;
+
+/// Parses a cache segment file — see [`LogCodec::parse_file`].
+pub fn parse_segment(bytes: &[u8]) -> Result<SegmentLoad, String> {
+    CacheCodec::parse_file(bytes)
+}
+
+/// Renders a complete cache segment file (header, key line, framed
+/// entries).
+pub fn render_segment(key: u64, entries: &[CachedOutcome]) -> Vec<u8> {
+    CacheCodec::render_file(key, entries)
+}
+
+/// The segment path for stream `key` under `cache_dir`.
+pub fn segment_path(cache_dir: &Path, key: u64) -> PathBuf {
+    CacheCodec::path(cache_dir, key)
+}
+
+/// The payload codec of one append-only log format. [`LogStore`] owns
+/// the framing, the crash consistency and the bookkeeping; a codec
+/// names its files and counters and renders and parses one entry.
+pub trait LogCodec {
+    /// One logged entry.
+    type Entry: Clone + fmt::Debug;
+    /// File-name prefix: stream `key` logs to `<PREFIX>-<key:016x>.seg`.
+    const PREFIX: &'static str;
+    /// The exact first line of every file.
+    const HEADER: &'static str;
+    /// The format's name in not-ours diagnostics (`not a <LABEL>`).
+    const LABEL: &'static str;
+    /// Counter bumped by the entries loaded at open.
+    const LOADED_METRIC: &'static str;
+    /// Counter bumped by the entries persisted.
+    const PERSISTED_METRIC: &'static str;
+    /// What repair notes call the recovered entries.
+    const NOUN: &'static str;
+    /// What quarantine notes say starts cold.
+    const SUBJECT: &'static str;
+    /// Whether logged entries the snapshot lacks are stale. If so, the
+    /// drain-time [`LogStore::flush`] rewrites the file to fold them
+    /// out; if not, they stay on disk.
+    const FOLDS_STALE: bool;
+
+    /// Renders one entry's payload line (no framing, no newline).
+    fn render(entry: &Self::Entry) -> String;
+    /// Parses one payload line back into an entry.
+    fn parse(payload: &str) -> Result<Self::Entry, String>;
+    /// The entry's dedup key within one file.
+    fn fingerprint(entry: &Self::Entry) -> u64;
+
+    /// The log path for stream `key` under `dir`.
+    fn path(dir: &Path, key: u64) -> PathBuf {
+        dir.join(format!("{}-{key:016x}.seg", Self::PREFIX))
+    }
+
+    /// Renders a complete file: header, key line, framed entries.
+    fn render_file(key: u64, entries: &[Self::Entry]) -> Vec<u8> {
+        let mut out = format!("{}\nkey {key:016x}\n", Self::HEADER).into_bytes();
+        for entry in entries {
+            out.extend_from_slice(&frame_entry(&Self::render(entry)));
+        }
+        out
+    }
+
+    /// Parses a file, separating torn tails from bit rot.
+    ///
+    /// `Ok` means the intact prefix is trustworthy: `entries` carries it,
+    /// and [`LogLoad::torn`] notes a truncated tail if the file ends
+    /// mid-entry (the crash-during-append signature). `Err` means bit rot
+    /// — CRC mismatch, framing violated mid-file, a garbled or foreign
+    /// header, or a payload this codec rejects — with a byte-precise
+    /// diagnostic; the caller should quarantine the file.
+    fn parse_file(bytes: &[u8]) -> Result<LogLoad<Self::Entry>, String> {
+        let (key, payloads, torn) = parse_framed(bytes, Self::HEADER, Self::LABEL)?;
+        let mut entries = Vec::with_capacity(payloads.len());
+        for (index, (payload, entry_at)) in payloads.iter().enumerate() {
+            entries.push(
+                Self::parse(payload)
+                    .map_err(|e| format!("entry {index} at byte {entry_at}: {e}"))?,
+            );
+        }
+        Ok(LogLoad { key, entries, torn })
+    }
+}
+
+/// The outcome of parsing one log file.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SegmentLoad {
+pub struct LogLoad<E> {
     /// The stream key stated in the file's `key` line.
     pub key: u64,
     /// Intact entries, in file (append) order.
-    pub entries: Vec<CachedOutcome>,
+    pub entries: Vec<E>,
     /// `Some(note)` if a torn tail was found after the intact prefix —
     /// the caller should truncate or rewrite the file before appending.
     pub torn: Option<String>,
@@ -226,40 +352,29 @@ fn read_line(bytes: &[u8], pos: usize) -> (&[u8], usize, bool) {
     }
 }
 
-/// A framed file decoded down to its raw entry payloads: the shared
-/// middle layer between [`parse_segment`] and the Pareto front store's
-/// parser (`crate::front`), which differ only in header and payload
-/// grammar.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RawFramedLoad {
-    /// The stream key stated in the file's `key` line.
-    pub key: u64,
-    /// Intact payloads in append order, each with the byte offset of its
-    /// `entry` header line (for diagnostics).
-    pub payloads: Vec<(String, usize)>,
-    /// `Some(note)` if a torn tail followed the intact prefix.
-    pub torn: Option<String>,
-}
+/// Intact payloads in append order, each with the byte offset of its
+/// `entry` header line (for diagnostics).
+type Payloads<'a> = Vec<(&'a str, usize)>;
 
-/// Parses the shared framed-file discipline (header line, key line,
-/// `entry <len> <crc32>` frames), separating torn tails from bit rot.
-/// `header` is the exact expected first line; `label` names the format
-/// in not-ours diagnostics.
-pub(crate) fn parse_framed(
-    bytes: &[u8],
+/// Parses the framing (header line, key line, `entry <len> <crc32>`
+/// frames) down to raw payloads, separating torn tails from bit rot.
+/// `header_line` is the exact expected first line; `label` names the
+/// format in not-ours diagnostics.
+fn parse_framed<'a>(
+    bytes: &'a [u8],
     header_line: &str,
     label: &str,
-) -> Result<RawFramedLoad, String> {
+) -> Result<(u64, Payloads<'a>, Option<String>), String> {
     // Header line. A short unterminated prefix of the expected header is
     // a torn first write; anything else that differs is not our file.
     let (line, mut pos, terminated) = read_line(bytes, 0);
     if !terminated {
         return if header_line.as_bytes().starts_with(line) {
-            Ok(RawFramedLoad {
-                key: 0,
-                payloads: Vec::new(),
-                torn: Some("file torn inside the header line".to_string()),
-            })
+            Ok((
+                0,
+                Vec::new(),
+                Some("file torn inside the header line".to_string()),
+            ))
         } else {
             Err(format!("not a {label} (garbled header)"))
         };
@@ -274,11 +389,11 @@ pub(crate) fn parse_framed(
     let (line, after_key, terminated) = read_line(bytes, pos);
     if !terminated {
         return if line.is_empty() || b"key ".starts_with(&line[..line.len().min(4)]) {
-            Ok(RawFramedLoad {
-                key: 0,
-                payloads: Vec::new(),
-                torn: Some("file torn inside the key line".to_string()),
-            })
+            Ok((
+                0,
+                Vec::new(),
+                Some("file torn inside the key line".to_string()),
+            ))
         } else {
             Err(format!("garbled key line at byte {pos}"))
         };
@@ -290,19 +405,15 @@ pub(crate) fn parse_framed(
         .ok_or(format!("malformed key line at byte {pos}"))?;
     pos = after_key;
 
-    let mut payloads: Vec<(String, usize)> = Vec::new();
+    let mut payloads = Vec::new();
     let mut index = 0usize;
     while pos < bytes.len() {
         let entry_at = pos;
         let (line, after_header, terminated) = read_line(bytes, pos);
         if !terminated {
-            return Ok(RawFramedLoad {
-                key,
-                payloads,
-                torn: Some(format!(
-                    "entry {index} header torn at byte {entry_at} (end of file mid-line)"
-                )),
-            });
+            let torn =
+                format!("entry {index} header torn at byte {entry_at} (end of file mid-line)");
+            return Ok((key, payloads, Some(torn)));
         }
         let header = std::str::from_utf8(line)
             .map_err(|_| format!("entry {index} header at byte {entry_at} is not UTF-8"))?;
@@ -324,15 +435,12 @@ pub(crate) fn parse_framed(
         if payload_at + len >= bytes.len() {
             // Payload (or its terminating newline) runs past the end of
             // the file: the append died partway through.
-            return Ok(RawFramedLoad {
-                key,
-                payloads,
-                torn: Some(format!(
-                    "entry {index} payload torn at byte {payload_at} \
-                     ({len} bytes declared, {} present)",
-                    bytes.len().saturating_sub(payload_at)
-                )),
-            });
+            let torn = format!(
+                "entry {index} payload torn at byte {payload_at} \
+                 ({len} bytes declared, {} present)",
+                bytes.len().saturating_sub(payload_at)
+            );
+            return Ok((key, payloads, Some(torn)));
         }
         let payload = &bytes[payload_at..payload_at + len];
         if bytes[payload_at + len] != b'\n' {
@@ -351,54 +459,14 @@ pub(crate) fn parse_framed(
         }
         let payload = std::str::from_utf8(payload)
             .map_err(|_| format!("entry {index} payload at byte {payload_at} is not UTF-8"))?;
-        payloads.push((payload.to_string(), entry_at));
+        payloads.push((payload, entry_at));
         pos = payload_at + len + 1;
         index += 1;
     }
-    Ok(RawFramedLoad {
-        key,
-        payloads,
-        torn: None,
-    })
+    Ok((key, payloads, None))
 }
 
-/// Parses a segment file, separating torn tails from bit rot.
-///
-/// `Ok` means the intact prefix is trustworthy: `entries` carries it,
-/// and [`SegmentLoad::torn`] notes a truncated tail if the file ends
-/// mid-entry (the crash-during-append signature). `Err` means bit rot —
-/// CRC mismatch, framing violated mid-file, or a garbled header — with a
-/// byte-precise diagnostic; the caller should quarantine the file.
-pub fn parse_segment(bytes: &[u8]) -> Result<SegmentLoad, String> {
-    let raw = parse_framed(bytes, HEADER, "cache segment")?;
-    let mut entries = Vec::with_capacity(raw.payloads.len());
-    for (index, (payload, entry_at)) in raw.payloads.iter().enumerate() {
-        entries.push(
-            parse_entry(payload).map_err(|e| format!("entry {index} at byte {entry_at}: {e}"))?,
-        );
-    }
-    Ok(SegmentLoad {
-        key: raw.key,
-        entries,
-        torn: raw.torn,
-    })
-}
-
-/// Renders a complete segment file (header, key line, framed entries).
-pub fn render_segment(key: u64, entries: &[CachedOutcome]) -> Vec<u8> {
-    let mut out = format!("{HEADER}\nkey {key:016x}\n").into_bytes();
-    for outcome in entries {
-        out.extend_from_slice(&frame_entry(&render_entry(outcome)));
-    }
-    out
-}
-
-/// The segment path for stream `key` under `cache_dir`.
-pub fn segment_path(cache_dir: &Path, key: u64) -> PathBuf {
-    cache_dir.join(format!("cache-{key:016x}.seg"))
-}
-
-/// What one [`SegmentStore::settle`] call did, for logging and metrics.
+/// What one [`LogStore::settle`] call did, for logging and metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SettleOutcome {
     /// Entries newly persisted (appended or folded into a compaction).
@@ -413,7 +481,7 @@ pub struct SettleOutcome {
 
 #[derive(Debug, Default)]
 struct KeyState {
-    /// Point fingerprints known to be durably on disk.
+    /// Entry fingerprints known to be durably on disk.
     persisted: BTreeSet<u64>,
     /// Appends since the file was last fully rewritten.
     appends_since_compact: u32,
@@ -425,30 +493,29 @@ struct KeyState {
     needs_compact: bool,
 }
 
-/// The durable side of the fleet pool: one append-mostly segment file
-/// per evaluator stream, loaded and verified at daemon start.
+/// One append-mostly log file per evaluator stream, loaded and verified
+/// at open, in the format codec `C` names.
 ///
 /// Writes happen on the scheduler thread (jobs run serially), reads at
 /// startup; the mutex is for the occasional STATS reader.
 #[derive(Debug)]
-pub struct SegmentStore {
+pub struct LogStore<C: LogCodec> {
     dir: PathBuf,
     compact_threshold: u32,
     chaos: Option<ChaosPolicy>,
     state: Mutex<BTreeMap<u64, KeyState>>,
-    /// Entries recovered at open, waiting for their stream's first
-    /// evaluator build to claim them.
-    preloaded: Mutex<BTreeMap<u64, Vec<CachedOutcome>>>,
+    /// Entries recovered at open, waiting for their stream to claim them.
+    preloaded: Mutex<BTreeMap<u64, Vec<C::Entry>>>,
     loaded: AtomicU64,
     persisted_total: AtomicU64,
     compactions: AtomicU64,
     quarantined: AtomicU64,
 }
 
-/// Cumulative [`SegmentStore`] counters, mirrored into the
-/// `serve.cache.*` wellknown metrics and printed by `STATS`.
+/// Cumulative [`LogStore`] counters, mirrored into the wellknown
+/// metrics and printed by `STATS`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SegmentStats {
+pub struct LogStats {
     /// Entries loaded back from disk at open.
     pub loaded: u64,
     /// Entries written durably (appends + compaction folds).
@@ -459,12 +526,12 @@ pub struct SegmentStats {
     pub quarantined: u64,
 }
 
-impl SegmentStore {
-    /// Opens (creating if needed) the segment directory, loading and
-    /// verifying every segment in it. Returns the store plus
-    /// human-readable notes for anything abnormal: torn tails truncated,
-    /// bit-rotted files quarantined. Notes are diagnostics, not errors —
-    /// the daemon always starts; damaged streams just start cold.
+impl<C: LogCodec> LogStore<C> {
+    /// Opens (creating if needed) the directory, loading and verifying
+    /// every `C` log in it. Returns the store plus human-readable notes
+    /// for anything abnormal: torn tails truncated, bit-rotted files
+    /// quarantined. Notes are diagnostics, not errors — the daemon
+    /// always starts; damaged streams just start cold.
     pub fn open(
         dir: PathBuf,
         compact_threshold: u32,
@@ -486,7 +553,7 @@ impl SegmentStore {
         Ok((store, notes))
     }
 
-    /// The directory segments live in.
+    /// The directory the logs live in.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -497,14 +564,18 @@ impl SegmentStore {
             .filter_map(|e| e.ok())
             .filter_map(|e| {
                 let name = e.file_name();
-                let name = name.to_str()?;
-                u64::from_str_radix(name.strip_prefix("cache-")?.strip_suffix(".seg")?, 16).ok()
+                let hex = name
+                    .to_str()?
+                    .strip_prefix(C::PREFIX)?
+                    .strip_prefix('-')?
+                    .strip_suffix(".seg")?;
+                u64::from_str_radix(hex, 16).ok()
             })
             .collect();
         keys.sort_unstable();
         keys.dedup();
         for key in keys {
-            let path = segment_path(&self.dir, key);
+            let path = C::path(&self.dir, key);
             let bytes = match std::fs::read(&path) {
                 Ok(b) => b,
                 Err(e) => {
@@ -512,57 +583,55 @@ impl SegmentStore {
                     continue;
                 }
             };
-            match parse_segment(&bytes) {
-                Ok(load) => {
-                    if !load.entries.is_empty() && load.key != key {
-                        // The file claims to belong to a different
-                        // stream — misplaced or renamed by hand. Seeding
-                        // it under this key would serve wrong physics.
-                        self.quarantine(
-                            &path,
-                            &mut notes,
-                            &format!(
-                                "key line says {:016x} but the file is named for {key:016x}",
-                                load.key
-                            ),
-                        );
-                        continue;
-                    }
-                    if let Some(torn) = &load.torn {
-                        // Repair in place: rewrite the intact prefix
-                        // atomically so future appends land on a clean
-                        // tail.
-                        let repaired = render_segment(key, &load.entries);
-                        write_atomic_bytes(&path, &repaired)?;
-                        notes.push(format!(
-                            "{}: torn tail truncated ({torn}); {} entries recovered",
-                            path.display(),
-                            load.entries.len()
-                        ));
-                    }
-                    hi_trace::counter(
-                        hi_trace::wellknown::SERVE_CACHE_LOADED,
-                        load.entries.len() as u64,
-                    );
-                    self.loaded
-                        .fetch_add(load.entries.len() as u64, Ordering::Relaxed);
-                    let mut state = self.state.lock().expect("segment store poisoned");
-                    let entry = state.entry(key).or_default();
-                    entry
-                        .persisted
-                        .extend(load.entries.iter().map(CachedOutcome::fingerprint));
-                    drop(state);
-                    if !load.entries.is_empty() {
-                        self.preloaded
-                            .lock()
-                            .expect("segment store poisoned")
-                            .insert(key, load.entries);
-                    }
+            let load = match C::parse_file(&bytes) {
+                Ok(load) => load,
+                Err(diag) => {
+                    self.quarantine(&path, &mut notes, &diag);
+                    continue;
                 }
-                Err(diag) => self.quarantine(&path, &mut notes, &diag),
+            };
+            if !load.entries.is_empty() && load.key != key {
+                // The file claims to belong to a different stream —
+                // misplaced or renamed by hand. Seeding it under this
+                // key would serve wrong physics.
+                let diag = format!(
+                    "key line says {:016x} but the file is named for {key:016x}",
+                    load.key
+                );
+                self.quarantine(&path, &mut notes, &diag);
+                continue;
+            }
+            if let Some(torn) = &load.torn {
+                // Repair in place: rewrite the intact prefix atomically
+                // so future appends land on a clean tail.
+                store::write_atomic(&path, &C::render_file(key, &load.entries))?;
+                notes.push(format!(
+                    "{}: torn tail truncated ({torn}); {} {} recovered",
+                    path.display(),
+                    load.entries.len(),
+                    C::NOUN
+                ));
+            }
+            let count = load.entries.len() as u64;
+            hi_trace::counter(C::LOADED_METRIC, count);
+            self.loaded.fetch_add(count, Ordering::Relaxed);
+            self.lock_state()
+                .entry(key)
+                .or_default()
+                .persisted
+                .extend(load.entries.iter().map(C::fingerprint));
+            if !load.entries.is_empty() {
+                self.preloaded
+                    .lock()
+                    .expect("log store poisoned")
+                    .insert(key, load.entries);
             }
         }
         Ok(notes)
+    }
+
+    fn lock_state(&self) -> std::sync::MutexGuard<'_, BTreeMap<u64, KeyState>> {
+        self.state.lock().expect("log store poisoned")
     }
 
     fn quarantine(&self, path: &Path, notes: &mut Vec<String>, diag: &str) {
@@ -572,37 +641,55 @@ impl SegmentStore {
             Ok(()) => format!("quarantined as {}", PathBuf::from(&target).display()),
             Err(e) => format!("quarantine rename failed ({e}); file left in place, ignored"),
         };
-        hi_trace::counter(hi_trace::wellknown::SERVE_CACHE_QUARANTINED, 1);
+        hi_trace::counter(wk::SERVE_CACHE_QUARANTINED, 1);
         self.quarantined.fetch_add(1, Ordering::Relaxed);
         notes.push(format!(
-            "{}: bit rot: {diag}; {verdict}; stream starts cold",
-            path.display()
+            "{}: bit rot: {diag}; {verdict}; {} starts cold",
+            path.display(),
+            C::SUBJECT
         ));
     }
 
     /// Claims the entries recovered for `key` at open, if any. Intended
-    /// for the stream's evaluator-build closure: seed each returned
-    /// outcome before the first job touches the evaluator.
-    pub fn hydrate(&self, key: u64) -> Vec<CachedOutcome> {
+    /// for the stream's first build: seed (or re-insert) each returned
+    /// entry before the first job touches the stream.
+    pub fn hydrate(&self, key: u64) -> Vec<C::Entry> {
         self.preloaded
             .lock()
-            .expect("segment store poisoned")
+            .expect("log store poisoned")
             .remove(&key)
             .unwrap_or_default()
     }
 
-    /// Persists whatever `export` holds that disk does not: the settle
-    /// path, called after each job completes with the stream's full
-    /// `Ok`-outcome snapshot. Entries already persisted are skipped;
-    /// fresh ones are appended (one fsync per batch), and every
-    /// `compact_threshold` appends the file is rewritten atomically
-    /// instead, folding the tail.
-    pub fn settle(&self, key: u64, export: &[CachedOutcome]) -> std::io::Result<SettleOutcome> {
-        let mut state = self.state.lock().expect("segment store poisoned");
+    /// Rewrites `key`'s file atomically from `snapshot` and records it
+    /// as exactly what disk holds.
+    fn compact(
+        &self,
+        entry: &mut KeyState,
+        key: u64,
+        snapshot: &[C::Entry],
+    ) -> std::io::Result<()> {
+        let path = C::path(&self.dir, key);
+        store::write_atomic(&path, &C::render_file(key, snapshot))?;
+        entry.persisted = snapshot.iter().map(C::fingerprint).collect();
+        entry.appends_since_compact = 0;
+        entry.needs_compact = false;
+        hi_trace::counter(wk::SERVE_CACHE_COMPACTIONS, 1);
+        self.compactions.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Persists whatever `snapshot` holds that disk does not: the settle
+    /// path, called with the stream's full current snapshot. Entries
+    /// already persisted are skipped; fresh ones are appended (one fsync
+    /// per batch), and every `compact_threshold` appends the file is
+    /// rewritten atomically from the snapshot instead, folding the tail.
+    pub fn settle(&self, key: u64, snapshot: &[C::Entry]) -> std::io::Result<SettleOutcome> {
+        let mut state = self.lock_state();
         let entry = state.entry(key).or_default();
-        let fresh: Vec<&CachedOutcome> = export
+        let fresh: Vec<&C::Entry> = snapshot
             .iter()
-            .filter(|o| !entry.persisted.contains(&o.fingerprint()))
+            .filter(|e| !entry.persisted.contains(&C::fingerprint(e)))
             .collect();
         if fresh.is_empty() {
             return Ok(SettleOutcome::default());
@@ -613,28 +700,19 @@ impl SegmentStore {
             if chaos.drops_segment(key, sequence) {
                 // The batch silently never reaches disk — the crash-consistency
                 // story must absorb it. Not marked persisted, so a later
-                // batch (different roll) retries these points.
-                hi_trace::counter(hi_trace::wellknown::EXEC_CHAOS_EVENTS, 1);
+                // batch (different roll) retries these entries.
+                hi_trace::counter(wk::EXEC_CHAOS_EVENTS, 1);
                 return Ok(SettleOutcome {
                     chaos_dropped: true,
                     ..SettleOutcome::default()
                 });
             }
         }
-        let path = segment_path(&self.dir, key);
         let compact =
             entry.needs_compact || entry.appends_since_compact + 1 >= self.compact_threshold;
         if compact {
-            write_atomic_bytes(&path, &render_segment(key, export))?;
-            entry.persisted = export.iter().map(CachedOutcome::fingerprint).collect();
-            entry.appends_since_compact = 0;
-            entry.needs_compact = false;
-            hi_trace::counter(hi_trace::wellknown::SERVE_CACHE_COMPACTIONS, 1);
-            hi_trace::counter(
-                hi_trace::wellknown::SERVE_CACHE_PERSISTED,
-                fresh.len() as u64,
-            );
-            self.compactions.fetch_add(1, Ordering::Relaxed);
+            self.compact(entry, key, snapshot)?;
+            hi_trace::counter(C::PERSISTED_METRIC, fresh.len() as u64);
             self.persisted_total
                 .fetch_add(fresh.len() as u64, Ordering::Relaxed);
             return Ok(SettleOutcome {
@@ -645,9 +723,9 @@ impl SegmentStore {
         }
         let mut batch = Vec::new();
         let mut complete = Vec::new();
-        for outcome in &fresh {
-            batch.extend_from_slice(&frame_entry(&render_entry(outcome)));
-            complete.push(outcome.fingerprint());
+        for e in &fresh {
+            batch.extend_from_slice(&frame_entry(&C::render(e)));
+            complete.push(C::fingerprint(e));
         }
         let mut chaos_torn = false;
         if let Some(chaos) = &self.chaos {
@@ -656,20 +734,20 @@ impl SegmentStore {
                 // frame reaches disk. The entry is not marked persisted,
                 // and the next settle compacts over the garbage tail —
                 // exactly what restart recovery would do.
-                let last = frame_entry(&render_entry(fresh[fresh.len() - 1]));
+                let last = frame_entry(&C::render(fresh[fresh.len() - 1]));
                 batch.truncate(batch.len() - last.len() + last.len() / 2);
                 complete.pop();
                 chaos_torn = true;
-                hi_trace::counter(hi_trace::wellknown::EXEC_CHAOS_EVENTS, 1);
+                hi_trace::counter(wk::EXEC_CHAOS_EVENTS, 1);
             }
         }
         {
             let mut file = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(&path)?;
+                .open(C::path(&self.dir, key))?;
             if file.metadata()?.len() == 0 {
-                file.write_all(format!("{HEADER}\nkey {key:016x}\n").as_bytes())?;
+                file.write_all(format!("{}\nkey {key:016x}\n", C::HEADER).as_bytes())?;
             }
             file.write_all(&batch)?;
             file.sync_all()?;
@@ -678,7 +756,7 @@ impl SegmentStore {
         entry.persisted.extend(complete);
         entry.appends_since_compact += 1;
         entry.needs_compact = chaos_torn;
-        hi_trace::counter(hi_trace::wellknown::SERVE_CACHE_PERSISTED, persisted as u64);
+        hi_trace::counter(C::PERSISTED_METRIC, persisted as u64);
         self.persisted_total
             .fetch_add(persisted as u64, Ordering::Relaxed);
         Ok(SettleOutcome {
@@ -688,38 +766,32 @@ impl SegmentStore {
         })
     }
 
-    /// Drain-time flush: compacts `key`'s segment unconditionally from
-    /// the stream's full snapshot, leaving one clean, tear-free file for
-    /// the next process. Called by SHUTDOWN after the queue drains.
-    pub fn flush(&self, key: u64, export: &[CachedOutcome]) -> std::io::Result<()> {
-        if export.is_empty() {
+    /// Drain-time flush: compacts `key`'s file from the stream's full
+    /// snapshot, leaving one clean, tear-free file for the next process.
+    /// Called by SHUTDOWN after the queue drains. The rewrite is skipped
+    /// when disk provably holds the snapshot already — and, for a codec
+    /// that [folds stale entries](LogCodec::FOLDS_STALE), nothing else.
+    pub fn flush(&self, key: u64, snapshot: &[C::Entry]) -> std::io::Result<()> {
+        if snapshot.is_empty() {
             return Ok(());
         }
-        let mut state = self.state.lock().expect("segment store poisoned");
+        let mut state = self.lock_state();
         let entry = state.entry(key).or_default();
-        let path = segment_path(&self.dir, key);
-        // Skip the rewrite only if disk provably holds everything and no
-        // chaos tear is pending.
         let clean = !entry.needs_compact
-            && path.exists()
-            && export
+            && C::path(&self.dir, key).exists()
+            && (!C::FOLDS_STALE || entry.persisted.len() == snapshot.len())
+            && snapshot
                 .iter()
-                .all(|o| entry.persisted.contains(&o.fingerprint()));
+                .all(|e| entry.persisted.contains(&C::fingerprint(e)));
         if clean {
             return Ok(());
         }
-        write_atomic_bytes(&path, &render_segment(key, export))?;
-        entry.persisted = export.iter().map(CachedOutcome::fingerprint).collect();
-        entry.appends_since_compact = 0;
-        entry.needs_compact = false;
-        hi_trace::counter(hi_trace::wellknown::SERVE_CACHE_COMPACTIONS, 1);
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.compact(entry, key, snapshot)
     }
 
     /// Cumulative counters since open.
-    pub fn stats(&self) -> SegmentStats {
-        SegmentStats {
+    pub fn stats(&self) -> LogStats {
+        LogStats {
             loaded: self.loaded.load(Ordering::Relaxed),
             persisted: self.persisted_total.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
@@ -729,38 +801,17 @@ impl SegmentStore {
 
     /// Number of entries known durable for `key` (tests and STATS).
     pub fn persisted_len(&self, key: u64) -> usize {
-        self.state
-            .lock()
-            .expect("segment store poisoned")
-            .get(&key)
-            .map_or(0, |s| s.persisted.len())
+        self.lock_state().get(&key).map_or(0, |s| s.persisted.len())
     }
-}
-
-/// The PR-5 atomic-write discipline for raw bytes: stage to `.tmp`,
-/// fsync, rotate the old file to `.prev`, rename into place.
-pub(crate) fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-    }
-    if path.exists() {
-        let mut prev = path.as_os_str().to_os_string();
-        prev.push(".prev");
-        let _ = std::fs::rename(path, PathBuf::from(prev));
-    }
-    std::fs::rename(&tmp, path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::front::FrontCodec;
     use hi_core::{MacChoice, Placement, RouteChoice};
     use hi_net::TxPower;
+    use hi_pareto::FrontPoint;
 
     fn point(i: u8) -> DesignPoint {
         DesignPoint {
@@ -806,6 +857,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Sample entries for the store tests, which run once per codec:
+    /// `entry(i)` has a distinct fingerprint for each `i` in `0..6`.
+    trait Fixture: LogCodec<Entry: PartialEq> {
+        fn entry(i: u8) -> Self::Entry;
+
+        fn entries(range: std::ops::Range<u8>) -> Vec<Self::Entry> {
+            range.map(Self::entry).collect()
+        }
+
+        /// A scratch directory private to this codec and test.
+        fn tmpdir(tag: &str) -> PathBuf {
+            tmpdir(&format!("{}-{tag}", Self::PREFIX))
+        }
+
+        fn read(dir: &Path, key: u64) -> LogLoad<Self::Entry> {
+            Self::parse_file(&std::fs::read(Self::path(dir, key)).unwrap()).unwrap()
+        }
+    }
+
+    impl Fixture for CacheCodec {
+        fn entry(i: u8) -> CachedOutcome {
+            if i.is_multiple_of(2) {
+                nominal(i)
+            } else {
+                robust(i)
+            }
+        }
+    }
+
+    impl Fixture for FrontCodec {
+        fn entry(i: u8) -> FrontPoint {
+            FrontPoint {
+                fingerprint: point(i).fingerprint(),
+                power_mw: 1.0 + f64::from(i),
+                pdr: 0.9,
+                latency_ms: 5.0,
+                nlt_days: 40.0,
+            }
+        }
+    }
+
+    /// Runs one generic store test over both log formats.
+    macro_rules! over_both_codecs {
+        ($check:ident) => {
+            $check::<CacheCodec>();
+            $check::<FrontCodec>();
+        };
     }
 
     #[test]
@@ -912,142 +1012,159 @@ mod tests {
 
     #[test]
     fn store_settles_hydrates_and_recovers_across_reopen() {
-        let dir = tmpdir("reopen");
-        let key = 0x51;
-        {
-            let (store, notes) = SegmentStore::open(dir.clone(), 256, None).unwrap();
+        fn check<C: Fixture>() {
+            let dir = C::tmpdir("reopen");
+            let key = 0x51;
+            {
+                let (store, notes) = LogStore::<C>::open(dir.clone(), 256, None).unwrap();
+                assert!(notes.is_empty(), "{notes:?}");
+                let out = store.settle(key, &C::entries(0..2)).unwrap();
+                assert_eq!(out.persisted, 2);
+                // Settling the same snapshot again is a no-op.
+                let again = store.settle(key, &C::entries(0..2)).unwrap();
+                assert_eq!(again.persisted, 0);
+                // A grown snapshot appends only the delta.
+                let grown = store.settle(key, &C::entries(0..3)).unwrap();
+                assert_eq!(grown.persisted, 1);
+                assert_eq!(store.persisted_len(key), 3);
+            }
+            let (store, notes) = LogStore::<C>::open(dir.clone(), 256, None).unwrap();
             assert!(notes.is_empty(), "{notes:?}");
-            let out = store.settle(key, &[nominal(0), robust(1)]).unwrap();
-            assert_eq!(out.persisted, 2);
-            // Settling the same snapshot again is a no-op.
-            let again = store.settle(key, &[nominal(0), robust(1)]).unwrap();
-            assert_eq!(again.persisted, 0);
-            // A grown snapshot appends only the delta.
-            let grown = store
-                .settle(key, &[nominal(0), robust(1), nominal(2)])
-                .unwrap();
-            assert_eq!(grown.persisted, 1);
+            assert_eq!(store.hydrate(key), C::entries(0..3));
+            // Hydrate drains: a second call returns nothing.
+            assert!(store.hydrate(key).is_empty());
             assert_eq!(store.persisted_len(key), 3);
+            assert_eq!(store.stats().loaded, 3);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        let (store, notes) = SegmentStore::open(dir.clone(), 256, None).unwrap();
-        assert!(notes.is_empty(), "{notes:?}");
-        let recovered = store.hydrate(key);
-        assert_eq!(recovered, vec![nominal(0), robust(1), nominal(2)]);
-        // Hydrate drains: a second call returns nothing.
-        assert!(store.hydrate(key).is_empty());
-        assert_eq!(store.persisted_len(key), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
+        over_both_codecs!(check);
     }
 
     #[test]
     fn torn_files_are_repaired_and_rotted_files_quarantined_at_open() {
-        let dir = tmpdir("repair");
-        let torn_key = 0x60;
-        let rotted_key = 0x61;
-        let bytes = render_segment(torn_key, &[nominal(0), nominal(1)]);
-        std::fs::write(segment_path(&dir, torn_key), &bytes[..bytes.len() - 3]).unwrap();
-        let mut rotted = render_segment(rotted_key, &[nominal(2)]);
-        let flip_at = rotted.len() - 10;
-        rotted[flip_at] ^= 0x01;
-        std::fs::write(segment_path(&dir, rotted_key), &rotted).unwrap();
-        let (store, notes) = SegmentStore::open(dir.clone(), 256, None).unwrap();
-        assert_eq!(notes.len(), 2, "{notes:?}");
-        assert!(
-            notes.iter().any(|n| n.contains("torn tail truncated")),
-            "{notes:?}"
-        );
-        assert!(notes.iter().any(|n| n.contains("bit rot")), "{notes:?}");
-        assert_eq!(store.hydrate(torn_key), vec![nominal(0)]);
-        assert!(store.hydrate(rotted_key).is_empty());
-        assert!(segment_path(&dir, rotted_key)
-            .with_extension("seg.quarantine")
-            .exists());
-        // The repaired file parses clean on a third open.
-        let repaired = std::fs::read(segment_path(&dir, torn_key)).unwrap();
-        let load = parse_segment(&repaired).unwrap();
-        assert_eq!(load.torn, None);
-        assert_eq!(load.entries, vec![nominal(0)]);
-        std::fs::remove_dir_all(&dir).unwrap();
+        fn check<C: Fixture>() {
+            let dir = C::tmpdir("repair");
+            let torn_key = 0x60;
+            let rotted_key = 0x61;
+            let bytes = C::render_file(torn_key, &C::entries(0..2));
+            std::fs::write(C::path(&dir, torn_key), &bytes[..bytes.len() - 3]).unwrap();
+            let mut rotted = C::render_file(rotted_key, &C::entries(2..3));
+            let flip_at = rotted.len() - 10;
+            rotted[flip_at] ^= 0x01;
+            std::fs::write(C::path(&dir, rotted_key), &rotted).unwrap();
+            let (store, notes) = LogStore::<C>::open(dir.clone(), 256, None).unwrap();
+            assert_eq!(notes.len(), 2, "{notes:?}");
+            assert!(
+                notes.iter().any(|n| n.contains("torn tail truncated")
+                    && n.contains(&format!("1 {} recovered", C::NOUN))),
+                "{notes:?}"
+            );
+            assert!(
+                notes
+                    .iter()
+                    .any(|n| n.contains("bit rot")
+                        && n.contains(&format!("{} starts cold", C::SUBJECT))),
+                "{notes:?}"
+            );
+            assert_eq!(store.hydrate(torn_key), C::entries(0..1));
+            assert!(store.hydrate(rotted_key).is_empty());
+            assert!(C::path(&dir, rotted_key)
+                .with_extension("seg.quarantine")
+                .exists());
+            assert_eq!(store.stats().quarantined, 1);
+            // The repaired file parses clean on a third open.
+            let load = C::read(&dir, torn_key);
+            assert_eq!(load.torn, None);
+            assert_eq!(load.entries, C::entries(0..1));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        over_both_codecs!(check);
     }
 
     #[test]
     fn compaction_folds_the_append_tail() {
-        let dir = tmpdir("compact");
-        let key = 0x70;
-        let (store, _) = SegmentStore::open(dir.clone(), 2, None).unwrap();
-        let mut snapshot = vec![nominal(0)];
-        store.settle(key, &snapshot).unwrap();
-        snapshot.push(nominal(1));
-        // Second append hits the threshold: the file is rewritten whole.
-        let out = store.settle(key, &snapshot).unwrap();
-        assert!(out.compacted);
-        snapshot.push(nominal(2));
-        let out = store.settle(key, &snapshot).unwrap();
-        assert!(!out.compacted);
-        let bytes = std::fs::read(segment_path(&dir, key)).unwrap();
-        let load = parse_segment(&bytes).unwrap();
-        assert_eq!(load.entries.len(), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
+        fn check<C: Fixture>() {
+            let dir = C::tmpdir("compact");
+            let key = 0x70;
+            let (store, _) = LogStore::<C>::open(dir.clone(), 2, None).unwrap();
+            store.settle(key, &C::entries(0..1)).unwrap();
+            // Second append hits the threshold: the file is rewritten whole.
+            let out = store.settle(key, &C::entries(0..2)).unwrap();
+            assert!(out.compacted);
+            let out = store.settle(key, &C::entries(0..3)).unwrap();
+            assert!(!out.compacted);
+            assert_eq!(C::read(&dir, key).entries, C::entries(0..3));
+            assert_eq!(store.stats().compactions, 1);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        over_both_codecs!(check);
     }
 
     #[test]
     fn chaos_torn_append_recovers_via_forced_compaction() {
-        let dir = tmpdir("chaos");
-        let key = 0x80;
-        // torn=1 tears every batch; drops off.
-        let chaos = ChaosPolicy::parse("seed=5,torn=1").unwrap();
-        let (store, _) = SegmentStore::open(dir.clone(), 256, Some(chaos)).unwrap();
-        let out = store.settle(key, &[nominal(0)]).unwrap();
-        assert!(out.chaos_torn);
-        assert_eq!(out.persisted, 0);
-        // The file now has a garbage tail; parse sees a torn entry.
-        let bytes = std::fs::read(segment_path(&dir, key)).unwrap();
-        let load = parse_segment(&bytes).unwrap();
-        assert!(load.torn.is_some());
-        // The next settle compacts over it (atomic rewrite is immune to
-        // the append-tear injection), leaving a clean file.
-        let out = store.settle(key, &[nominal(0), nominal(1)]).unwrap();
-        assert!(out.compacted);
-        assert_eq!(out.persisted, 2);
-        let bytes = std::fs::read(segment_path(&dir, key)).unwrap();
-        let load = parse_segment(&bytes).unwrap();
-        assert_eq!(load.torn, None);
-        assert_eq!(load.entries.len(), 2);
-        // A fully dropped batch leaves no file at all for a fresh key.
-        let dropping = ChaosPolicy::parse("seed=5,segdrop=1").unwrap();
-        let (store2, _) = SegmentStore::open(tmpdir("chaos2"), 256, Some(dropping)).unwrap();
-        let out = store2.settle(key, &[nominal(0)]).unwrap();
-        assert!(out.chaos_dropped);
-        assert!(!segment_path(store2.dir(), key).exists());
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(store2.dir()).unwrap();
+        fn check<C: Fixture>() {
+            let dir = C::tmpdir("chaos");
+            let key = 0x80;
+            // torn=1 tears every batch; drops off.
+            let chaos = ChaosPolicy::parse("seed=5,torn=1").unwrap();
+            let (store, _) = LogStore::<C>::open(dir.clone(), 256, Some(chaos)).unwrap();
+            let out = store.settle(key, &C::entries(0..1)).unwrap();
+            assert!(out.chaos_torn);
+            assert_eq!(out.persisted, 0);
+            // The file now has a garbage tail; parse sees a torn entry.
+            assert!(C::read(&dir, key).torn.is_some());
+            // The next settle compacts over it (atomic rewrite is immune
+            // to the append-tear injection), leaving a clean file.
+            let out = store.settle(key, &C::entries(0..2)).unwrap();
+            assert!(out.compacted);
+            assert_eq!(out.persisted, 2);
+            let load = C::read(&dir, key);
+            assert_eq!(load.torn, None);
+            assert_eq!(load.entries, C::entries(0..2));
+            // A fully dropped batch leaves no file at all for a fresh key.
+            let dropping = ChaosPolicy::parse("seed=5,segdrop=1").unwrap();
+            let dir2 = C::tmpdir("chaos2");
+            let (store2, _) = LogStore::<C>::open(dir2.clone(), 256, Some(dropping)).unwrap();
+            let out = store2.settle(key, &C::entries(0..1)).unwrap();
+            assert!(out.chaos_dropped);
+            assert!(!C::path(&dir2, key).exists());
+            std::fs::remove_dir_all(&dir).unwrap();
+            std::fs::remove_dir_all(&dir2).unwrap();
+        }
+        over_both_codecs!(check);
     }
 
     #[test]
     fn flush_leaves_one_clean_file() {
-        let dir = tmpdir("flush");
-        let key = 0x90;
-        let (store, _) = SegmentStore::open(dir.clone(), 256, None).unwrap();
-        store.settle(key, &[nominal(0)]).unwrap();
-        store.flush(key, &[nominal(0), nominal(1)]).unwrap();
-        let load = parse_segment(&std::fs::read(segment_path(&dir, key)).unwrap()).unwrap();
-        assert_eq!(load.entries.len(), 2);
-        assert_eq!(load.torn, None);
-        std::fs::remove_dir_all(&dir).unwrap();
+        fn check<C: Fixture>() {
+            let dir = C::tmpdir("flush");
+            let key = 0x90;
+            let (store, _) = LogStore::<C>::open(dir.clone(), 256, None).unwrap();
+            store.settle(key, &C::entries(0..1)).unwrap();
+            store.flush(key, &C::entries(0..2)).unwrap();
+            let load = C::read(&dir, key);
+            assert_eq!(load.entries, C::entries(0..2));
+            assert_eq!(load.torn, None);
+            // Disk now holds exactly the snapshot: a second flush is free.
+            store.flush(key, &C::entries(0..2)).unwrap();
+            assert_eq!(store.stats().compactions, 1);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        over_both_codecs!(check);
     }
 
     #[test]
     fn miskeyed_segment_files_are_quarantined() {
-        let dir = tmpdir("miskey");
-        // A file named for key 0xAA whose key line says 0xBB.
-        std::fs::write(
-            segment_path(&dir, 0xAA),
-            render_segment(0xBB, &[nominal(0)]),
-        )
-        .unwrap();
-        let (store, notes) = SegmentStore::open(dir.clone(), 256, None).unwrap();
-        assert!(notes.iter().any(|n| n.contains("named for")), "{notes:?}");
-        assert!(store.hydrate(0xAA).is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
+        fn check<C: Fixture>() {
+            let dir = C::tmpdir("miskey");
+            // A file named for key 0xAA whose key line says 0xBB.
+            std::fs::write(C::path(&dir, 0xAA), C::render_file(0xBB, &C::entries(0..1))).unwrap();
+            let (store, notes) = LogStore::<C>::open(dir.clone(), 256, None).unwrap();
+            assert!(notes.iter().any(|n| n.contains("named for")), "{notes:?}");
+            assert!(store.hydrate(0xAA).is_empty());
+            assert_eq!(store.stats().quarantined, 1);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        over_both_codecs!(check);
     }
 }

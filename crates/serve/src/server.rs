@@ -28,8 +28,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use hi_core::{
-    load_recovering, parse_fault_suite, warmup_events_floor, CancelToken, ChaosPolicy, ExecContext,
-    FaultSuite, RobustEvaluator, RobustMode, StopReason, SuiteParseError,
+    load_checkpoint_file, parse_fault_suite, store, warmup_events_floor, CancelToken, ChaosPolicy,
+    ExecContext, FaultSuite, RobustEvaluator, RobustMode, StopReason, SuiteParseError,
 };
 use hi_pareto::{ArchiveConfig, InsertOutcome, ParetoArchive};
 use hi_trace::{wellknown as wk, Collector, MetricsRegistry};
@@ -386,9 +386,11 @@ impl Server {
                 profile_text: profile.to_text(),
                 result: None,
             };
-            record
-                .write_atomic(&record_path(&self.config.state_dir, id))
-                .map_err(|e| format!("cannot persist job {id}: {e}"))?;
+            store::write_atomic(
+                &record_path(&self.config.state_dir, id),
+                record.to_text().as_bytes(),
+            )
+            .map_err(|e| format!("cannot persist job {id}: {e}"))?;
             state.jobs.insert(
                 id,
                 JobEntry {
@@ -457,8 +459,7 @@ impl Server {
                 self.registry().add(wk::SERVE_JOBS_CANCELLED, 1);
                 self.sync_depth(&state);
                 drop(state);
-                record
-                    .write_atomic(&record_path(&state_dir, id))
+                store::write_atomic(&record_path(&state_dir, id), record.to_text().as_bytes())
                     .map_err(|e| format!("cannot persist job {id}: {e}"))?;
                 self.cv.notify_all();
                 Ok(JobState::Cancelled)
@@ -698,7 +699,8 @@ impl Server {
                 guard.running = Some(id);
                 self.sync_depth(&guard);
                 drop(guard);
-                if let Err(e) = record.write_atomic(&record_path(&self.config.state_dir, id)) {
+                let path = record_path(&self.config.state_dir, id);
+                if let Err(e) = store::write_atomic(&path, record.to_text().as_bytes()) {
                     eprintln!("warning: cannot persist job {id} running state: {e}");
                 }
                 return Some((id, profile));
@@ -718,7 +720,7 @@ impl Server {
             entry.record.result = Some(result);
             entry.cancel = None;
             latency_ns = entry.accepted.elapsed().as_nanos() as u64;
-            if let Err(e) = entry.record.write_atomic(&path) {
+            if let Err(e) = store::write_atomic(&path, entry.record.to_text().as_bytes()) {
                 eprintln!("warning: cannot persist job {id} terminal state: {e}");
             }
         }
@@ -801,16 +803,20 @@ impl Server {
         // mismatched file instead of silently continuing.
         let resumes = profile.engine != EngineChoice::Exhaustive;
         let resume = if resumes && ck_path.exists() {
-            match load_recovering(&ck_path) {
-                Ok(recovery) => {
-                    if let Some(note) = &recovery.fallback {
-                        eprintln!("note: job {id} checkpoint recovery: {note}");
+            match store::load_recovering(&ck_path, load_checkpoint_file) {
+                Ok((checkpoint, fallback)) => {
+                    if let Some(primary) = fallback {
+                        eprintln!(
+                            "note: job {id} checkpoint recovery: {primary}; recovered from \
+                             the previous auto-checkpoint `{}`",
+                            store::prev_path(&ck_path).display()
+                        );
                     }
                     eprintln!(
                         "note: job {id} resuming at iteration {}",
-                        recovery.checkpoint.iterations
+                        checkpoint.iterations
                     );
-                    Some(recovery.checkpoint)
+                    Some(checkpoint)
                 }
                 Err(e) => {
                     eprintln!("warning: job {id} checkpoint unusable ({e}); starting over");
@@ -826,7 +832,7 @@ impl Server {
             checkpoint_every: Some(1),
         };
         let mut observer = |cp: &hi_core::ExploreCheckpoint| {
-            if let Err(e) = cp.write_atomic(&ck_path) {
+            if let Err(e) = store::write_atomic(&ck_path, cp.to_text().as_bytes()) {
                 eprintln!("warning: job {id} checkpoint write failed: {e}");
             }
             // Settle alongside every checkpoint: the checkpoint makes the

@@ -45,10 +45,10 @@ fn the_wellformed_seed_parses_and_roundtrips() {
     let bytes = corpus_bytes("front_warm.seg");
     let load = parse_front_segment(&bytes).expect("the committed warm front is valid");
     assert!(load.torn.is_none(), "{:?}", load.torn);
-    assert!(load.points.len() >= 8, "suspiciously small seed");
+    assert!(load.entries.len() >= 8, "suspiciously small seed");
     // Render-parse roundtrip is byte-identical: the seed really is in
     // canonical form, so compaction rewrites are stable.
-    let rendered = render_front_segment(load.key, &load.points);
+    let rendered = render_front_segment(load.key, &load.entries);
     assert_eq!(rendered, bytes);
 }
 
@@ -61,11 +61,11 @@ fn the_torn_seed_keeps_its_intact_prefix() {
     assert!(note.contains("torn"), "{note}");
     assert_eq!(torn.key, warm.key);
     assert_eq!(
-        torn.points.len(),
-        warm.points.len() - 1,
+        torn.entries.len(),
+        warm.entries.len() - 1,
         "exactly the final, half-written point is lost"
     );
-    assert_eq!(torn.points, warm.points[..warm.points.len() - 1]);
+    assert_eq!(torn.entries, warm.entries[..warm.entries.len() - 1]);
 }
 
 #[test]
@@ -92,7 +92,7 @@ fn truncation_at_every_byte_never_panics_and_never_misloads() {
         .nth(1)
         .expect("header and key lines exist");
     boundaries.push(edge);
-    for point in &full.points {
+    for point in &full.entries {
         edge += frame_entry(&render_front_entry(point)).len();
         boundaries.push(edge);
     }
@@ -102,8 +102,12 @@ fn truncation_at_every_byte_never_panics_and_never_misloads() {
             // Whatever survives a cut must be a *prefix* of the truth —
             // never a reordering, never an invented point — and a cut
             // off a frame boundary must be flagged torn.
-            assert!(load.points.len() <= full.points.len());
-            assert_eq!(load.points, full.points[..load.points.len()], "cut {cut}");
+            assert!(load.entries.len() <= full.entries.len());
+            assert_eq!(
+                load.entries,
+                full.entries[..load.entries.len()],
+                "cut {cut}"
+            );
             assert!(
                 load.torn.is_some() || boundaries.contains(&cut),
                 "silent data loss at cut {cut}"
@@ -113,7 +117,7 @@ fn truncation_at_every_byte_never_panics_and_never_misloads() {
     // And the empty file is a torn (empty) front, not an error: a crash
     // can land exactly between create and first write.
     let load = parse_front_segment(b"").unwrap();
-    assert!(load.points.is_empty());
+    assert!(load.entries.is_empty());
 }
 
 #[test]
@@ -125,7 +129,7 @@ fn every_single_bit_flip_under_the_crc_is_caught() {
     // Payload bytes are exactly the rendered point lines.
     let mut covered = 0usize;
     let mut cursor = 0usize;
-    for point in &full.points {
+    for point in &full.entries {
         let payload = render_front_entry(point);
         let start = bytes[cursor..]
             .windows(payload.len())

@@ -264,3 +264,50 @@ fn budget_checkpoint_resume_matches_a_straight_run() {
         "a resumed run must print byte-identical stdout"
     );
 }
+
+#[test]
+fn a_torn_tradeoff_archive_is_a_miss_not_the_front() {
+    let dir = std::env::temp_dir().join(format!("hi_opt_smoke_archive_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let tradeoff = || {
+        hi_opt()
+            .args([
+                "tradeoff", "--floors", "60,90", "--tsim", "2", "--runs", "1",
+            ])
+            .arg("--archive")
+            .arg(&dir)
+            .output()
+            .expect("binary runs")
+    };
+    let cold = tradeoff();
+    assert!(cold.status.success());
+    let cold_text = String::from_utf8_lossy(&cold.stdout).into_owned();
+    assert!(
+        !cold_text.contains("total unique simulations: 0\n"),
+        "{cold_text}"
+    );
+
+    // Cut the front file mid-entry, as a crash during its write would.
+    let seg = std::fs::read_dir(&dir)
+        .expect("archive dir exists")
+        .map(|e| e.expect("dir entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "seg"))
+        .expect("the cold run wrote a front segment");
+    let bytes = std::fs::read(&seg).expect("segment reads");
+    std::fs::write(&seg, &bytes[..bytes.len() - 20]).expect("tmp write");
+    let rerun = tradeoff();
+    assert!(rerun.status.success());
+    assert!(String::from_utf8_lossy(&rerun.stderr).contains("torn archive"));
+    // The miss re-runs the sweep: stdout is the cold run's, byte for byte.
+    assert_eq!(String::from_utf8_lossy(&rerun.stdout), cold_text);
+    // ...and the file is whole again, so the next run answers warm.
+    assert_eq!(std::fs::read(&seg).expect("segment reads"), bytes);
+
+    // Bit rot is not a miss: it stays a spec error.
+    let mut rotted = bytes.clone();
+    let at = rotted.len() - 10;
+    rotted[at] ^= 0x01;
+    std::fs::write(&seg, &rotted).expect("tmp write");
+    assert_eq!(tradeoff().status.code(), Some(4));
+    let _ = std::fs::remove_dir_all(&dir);
+}
