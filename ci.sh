@@ -8,13 +8,16 @@
 set -eux
 
 cargo fmt --all --check
-# Clippy across the whole workspace (all targets, warnings are errors),
+# Clippy across the whole workspace (all targets, warnings are errors,
+# and `or_fun_call` on top of the defaults: an error string or default
+# built eagerly inside `ok_or(..)`/`map_or(..)` costs an allocation on
+# every success, which the persisted-state parsers pay per field),
 # plus the shadow (model-checker) configuration of hi-exec, which
 # compiles different code behind the sync facade. Skipped with a notice
 # if the toolchain lacks the clippy component (e.g. a minimal offline
 # install).
 if cargo clippy --version > /dev/null 2>&1; then
-    cargo clippy --workspace --all-targets -- -D warnings
+    cargo clippy --workspace --all-targets -- -D warnings -W clippy::or_fun_call
     cargo clippy -p hi-exec --features shadow --all-targets -- -D warnings
 else
     echo "NOTICE: cargo clippy unavailable in this toolchain; skipping lint gate" >&2
@@ -494,5 +497,19 @@ grep '^total unique simulations: ' /tmp/hi_ci_trade_torn.txt | awk '{ok = $4 > 0
 sed -n '/^pareto front/,/^total/p' /tmp/hi_ci_trade_torn.txt | grep -v '^total' \
     > /tmp/hi_ci_trade_torn_front.txt
 diff /tmp/hi_ci_trade_cold_front.txt /tmp/hi_ci_trade_torn_front.txt
+# A front file copied over from other physics (another seed's) names
+# that physics in its key line: also a miss, noted on stderr, re-run and
+# rewritten, never printed as this physics' front.
+rm -rf /tmp/hi_ci_tradearch_other
+target/release/hi-opt tradeoff --tsim 2 --runs 1 --seed 7 --archive /tmp/hi_ci_tradearch_other \
+    > /dev/null
+cp /tmp/hi_ci_tradearch_other/front-*.seg "$FRONT_SEG"
+target/release/hi-opt tradeoff --tsim 2 --runs 1 --archive /tmp/hi_ci_tradearch \
+    > /tmp/hi_ci_trade_miskey.txt 2> /tmp/hi_ci_trade_miskey_err.txt
+grep -q 'key line says .* but this physics is ' /tmp/hi_ci_trade_miskey_err.txt
+grep '^total unique simulations: ' /tmp/hi_ci_trade_miskey.txt | awk '{ok = $4 > 0} END {exit !ok}'
+sed -n '/^pareto front/,/^total/p' /tmp/hi_ci_trade_miskey.txt | grep -v '^total' \
+    > /tmp/hi_ci_trade_miskey_front.txt
+diff /tmp/hi_ci_trade_cold_front.txt /tmp/hi_ci_trade_miskey_front.txt
 
 HI_BENCH_QUICK=1 cargo bench

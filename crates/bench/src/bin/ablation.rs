@@ -104,7 +104,7 @@ fn alpha_correction(opts: &ExpOptions) {
                 "{:.0}\t{}\t{}\t{}\t{}",
                 pdr_min * 100.0,
                 label,
-                power.map_or("-".into(), |p| format!("{p:.3}")),
+                power.map_or_else(|| "-".into(), |p| format!("{p:.3}")),
                 out.simulations,
                 note
             );

@@ -35,30 +35,50 @@ pub fn seal(mut body: String) -> String {
 /// byte is covered, so a CRLF-rewritten file is named corrupt rather
 /// than parsed. Errors name the trailer's line.
 pub fn unseal(text: &str) -> Result<&str, String> {
-    let mut trailer: Option<(usize, usize, &str)> = None;
-    let mut offset = 0;
-    for (index, line) in text.split_inclusive('\n').enumerate() {
-        if !line.trim().is_empty() {
-            trailer = Some((index + 1, offset, line.trim()));
+    // Scan back from the end past blank and whitespace-only lines; only
+    // an error needs the trailer's line number, so it is counted then.
+    let mut end = text.len();
+    let trailer = loop {
+        if end == 0 {
+            break None;
         }
-        offset += line.len();
-    }
-    let Some((lineno, start, rest)) =
-        trailer.and_then(|(n, start, line)| Some((n, start, line.strip_prefix("crc32 ")?)))
+        // The line ending at `end` keeps its own newline, if any.
+        let body_end = if text[..end].ends_with('\n') {
+            end - 1
+        } else {
+            end
+        };
+        let start = text[..body_end].rfind('\n').map_or(0, |nl| nl + 1);
+        let line = text[start..end].trim();
+        if !line.is_empty() {
+            break Some((start, line));
+        }
+        end = start;
+    };
+    let Some((start, rest)) =
+        trailer.and_then(|(start, line)| Some((start, line.strip_prefix("crc32 ")?)))
     else {
         return Err("missing crc32 trailer — the file is truncated".into());
+    };
+    let lineno = || {
+        text.as_bytes()[..start]
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count()
+            + 1
     };
     let rest = rest.trim();
     let recorded = u32::from_str_radix(rest, 16)
         .ok()
         .filter(|_| rest.len() == 8)
-        .ok_or_else(|| format!("line {lineno}: bad crc32 trailer {rest:?}"))?;
+        .ok_or_else(|| format!("line {}: bad crc32 trailer {rest:?}", lineno()))?;
     let body = &text[..start];
     let computed = crc32_ieee(body.as_bytes());
     if computed != recorded {
         return Err(format!(
-            "line {lineno}: crc32 mismatch (recorded {recorded:08x}, computed \
-             {computed:08x}) — the file is corrupt or truncated"
+            "line {}: crc32 mismatch (recorded {recorded:08x}, computed \
+             {computed:08x}) — the file is corrupt or truncated",
+            lineno()
         ));
     }
     Ok(body)
@@ -117,6 +137,149 @@ mod tests {
     use super::*;
 
     const BODY: &str = "hi-test record v1\nvalue 42\nend\n";
+    const MISSING: &str = "missing crc32 trailer — the file is truncated";
+
+    /// The forward-scan reference: split and trim every line to find the
+    /// last non-empty one, numbering lines on the way.
+    fn unseal_forward(text: &str) -> Result<&str, String> {
+        let mut trailer: Option<(usize, usize, &str)> = None;
+        let mut offset = 0;
+        for (index, line) in text.split_inclusive('\n').enumerate() {
+            if !line.trim().is_empty() {
+                trailer = Some((index + 1, offset, line.trim()));
+            }
+            offset += line.len();
+        }
+        let Some((lineno, start, rest)) =
+            trailer.and_then(|(n, start, line)| Some((n, start, line.strip_prefix("crc32 ")?)))
+        else {
+            return Err(MISSING.into());
+        };
+        let rest = rest.trim();
+        let recorded = u32::from_str_radix(rest, 16)
+            .ok()
+            .filter(|_| rest.len() == 8)
+            .ok_or_else(|| format!("line {lineno}: bad crc32 trailer {rest:?}"))?;
+        let body = &text[..start];
+        let computed = crc32_ieee(body.as_bytes());
+        if computed != recorded {
+            return Err(format!(
+                "line {lineno}: crc32 mismatch (recorded {recorded:08x}, computed \
+                 {computed:08x}) — the file is corrupt or truncated"
+            ));
+        }
+        Ok(body)
+    }
+
+    /// Asserts that `unseal` and the forward oracle both give `expected`.
+    fn pin(text: &str, expected: Result<&str, String>) {
+        assert_eq!(unseal_forward(text), expected, "oracle on {text:?}");
+        assert_eq!(unseal(text), expected, "unseal on {text:?}");
+    }
+
+    fn mismatch(line: usize, recorded: u32, body: &str) -> Result<&'static str, String> {
+        Err(format!(
+            "line {line}: crc32 mismatch (recorded {recorded:08x}, computed {:08x}) — \
+             the file is corrupt or truncated",
+            crc32_ieee(body.as_bytes())
+        ))
+    }
+
+    #[test]
+    fn error_texts_are_pinned_against_the_forward_scan() {
+        let sealed = seal(BODY.to_string());
+        let crc = crc32_ieee(BODY.as_bytes());
+        let hex = format!("{crc:08x}");
+
+        // No trailer.
+        for text in [
+            "",
+            "\n",
+            "\n\n",
+            " \t\n\r\n",
+            BODY,
+            "crc32",
+            "crc32 \n",
+            "x\ncrc32\n",
+        ] {
+            pin(text, Err(MISSING.into()));
+        }
+        pin(&format!("crc32 {hex}\n{BODY}"), Err(MISSING.into()));
+
+        // Trailing blank and whitespace-only lines, with or without a
+        // final newline, are outside the covered body.
+        for tail in [
+            "",
+            "\n",
+            "\n\n",
+            "  \n",
+            "\t\n \n",
+            "   ",
+            "\r\n",
+            "\n\u{a0}\n",
+        ] {
+            pin(&format!("{sealed}{tail}"), Ok(BODY));
+        }
+        pin(&sealed[..sealed.len() - 1], Ok(BODY));
+        pin(&format!("{BODY}  crc32 {hex} \t\n"), Ok(BODY));
+
+        // A bad trailer, named on its own line.
+        let cut = &sealed[..sealed.len() - 3];
+        pin(
+            cut,
+            Err(format!("line 4: bad crc32 trailer {:?}", &hex[..6])),
+        );
+        pin(
+            &format!("{BODY}\n\ncrc32 nothex!\n\n \n"),
+            Err("line 6: bad crc32 trailer \"nothex!\"".into()),
+        );
+        pin(
+            &format!("{BODY}crc32 {hex}0\n"),
+            Err(format!("line 4: bad crc32 trailer \"{hex}0\"")),
+        );
+
+        // A CRC mismatch: a flipped body bit, blank lines inside the
+        // covered body, a foreign trailer.
+        let mut flipped = sealed.clone().into_bytes();
+        flipped[20] ^= 0x01;
+        let flipped = String::from_utf8(flipped).unwrap();
+        pin(&flipped, mismatch(4, crc, &flipped[..BODY.len()]));
+        let spaced = format!("{BODY}\n \ncrc32 {hex}\n\n");
+        pin(&spaced, mismatch(6, crc, &format!("{BODY}\n \n")));
+        pin("a\nb\ncrc32 00000001\n", mismatch(3, 1, "a\nb\n"));
+
+        // A CRLF-converted file: the trailer parses, the body does not
+        // hash to it.
+        let converted = sealed.replace('\n', "\r\n");
+        pin(&converted, mismatch(4, crc, &BODY.replace('\n', "\r\n")));
+        // A body sealed with CRLF verifies as written.
+        let crlf = BODY.replace('\n', "\r\n");
+        pin(&seal(crlf.clone()), Ok(crlf.as_str()));
+
+        // An empty body: the trailer is line 1 and covers nothing.
+        pin(&seal(String::new()), Ok(""));
+        pin("crc32 00000000\n", Ok(""));
+        pin("crc32 00000001\n", mismatch(1, 1, ""));
+        pin("\n\ncrc32 00000000\n", mismatch(3, 0, "\n\n"));
+    }
+
+    #[test]
+    fn unseal_agrees_with_the_forward_scan_on_every_prefix() {
+        // Every truncation point of sealed files (LF, CRLF, blank-padded)
+        // gets the oracle's verdict, error text included.
+        let sealed = seal(BODY.to_string());
+        for text in [
+            sealed.clone(),
+            sealed.replace('\n', "\r\n"),
+            format!("\n{sealed}\n \n\t\n"),
+            seal(String::new()),
+        ] {
+            for end in (0..=text.len()).filter(|&end| text.is_char_boundary(end)) {
+                let prefix = &text[..end];
+                assert_eq!(unseal(prefix), unseal_forward(prefix), "{prefix:?}");
+            }
+        }
+    }
 
     #[test]
     fn seal_and_unseal_roundtrip() {

@@ -190,7 +190,7 @@ fn robust_ladder(lines: &mut Vec<String>, name: &str, engine: Engine, gamma: u32
         .expect("robust engine succeeds")
     };
     let case = format!("{name}/g{gamma}");
-    let nominal = outcome.nominal_power_mw.map_or("none".into(), hex);
+    let nominal = outcome.nominal_power_mw.map_or_else(|| "none".into(), hex);
     lines.push(format!(
         "{case} nominal={nominal} repairs={}",
         outcome.repairs

@@ -93,7 +93,7 @@ fn price_of_robustness_is_monotone_in_gamma() {
         let nominal = out.nominal_power_mw.expect("nominal model is feasible");
         let robust = out.robust_power_mw.expect("a witness was accepted");
         // The baseline never depends on the budget...
-        let bits = *nominal_bits.get_or_insert(nominal.to_bits());
+        let bits = *nominal_bits.get_or_insert_with(|| nominal.to_bits());
         assert_eq!(bits, nominal.to_bits(), "nominal baseline moved with gamma");
         // ...while every design's robust cost grows with it, so the
         // accepted minimum does too (ties equal up to float summation

@@ -992,10 +992,13 @@ fn cmd_tradeoff(args: &[String]) -> Result<(), CliError> {
     }
     // Warm path: a front segment for this exact physics already exists —
     // answer from it, zero fresh simulations, no sweep at all. A torn
-    // file holds only a prefix of the front, so it is a miss: the cold
-    // sweep below runs and rewrites it. Bit rot stays a spec error.
+    // file holds only a prefix of the front, and a file whose key line
+    // names other physics (copied or renamed by hand) holds another
+    // front, so both are misses: the cold sweep below runs and rewrites
+    // the file. Bit rot stays a spec error.
     if let Some(dir) = &archive_dir {
-        let path = hi_opt::serve::front_path(dir, archive_key(&common));
+        let key = archive_key(&common);
+        let path = hi_opt::serve::front_path(dir, key);
         if path.is_file() {
             let bytes = std::fs::read(&path)
                 .map_err(|e| CliError::Io(format!("cannot read `{}`: {e}", path.display())))?;
@@ -1005,6 +1008,13 @@ fn cmd_tradeoff(args: &[String]) -> Result<(), CliError> {
                 eprintln!(
                     "note: {}: torn archive ({torn}); recomputing the front",
                     path.display()
+                );
+            } else if load.key != key {
+                eprintln!(
+                    "note: {}: key line says {:016x} but this physics is {key:016x}; \
+                     recomputing the front",
+                    path.display(),
+                    load.key
                 );
             } else {
                 let mut archive = hi_opt::pareto::ParetoArchive::new(eps);
@@ -1127,7 +1137,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
 
     let placements: Vec<BodyLocation> = sites
         .iter()
-        .map(|&i| BodyLocation::from_index(i).ok_or(format!("site index {i} out of range")))
+        .map(|&i| BodyLocation::from_index(i).ok_or_else(|| format!("site index {i} out of range")))
         .collect::<Result<_, _>>()?;
     let routing = match routing {
         Some(mesh) => mesh,

@@ -62,7 +62,7 @@ pub fn parse_front_entry(payload: &str) -> Result<FrontPoint, String> {
     }
     let fp_token = tokens
         .next()
-        .ok_or("missing point fingerprint".to_string())?;
+        .ok_or_else(|| "missing point fingerprint".to_string())?;
     let fingerprint = u64::from_str_radix(fp_token, 16)
         .map_err(|_| format!("bad point fingerprint `{fp_token}`"))?;
     if DesignPoint::from_fingerprint(fingerprint).is_none() {
@@ -71,7 +71,9 @@ pub fn parse_front_entry(payload: &str) -> Result<FrontPoint, String> {
         ));
     }
     let mut take = |what: &str| -> Result<f64, String> {
-        let token = tokens.next().ok_or(format!("{what}: missing field"))?;
+        let token = tokens
+            .next()
+            .ok_or_else(|| format!("{what}: missing field"))?;
         u64::from_str_radix(token, 16)
             .map(f64::from_bits)
             .map_err(|_| format!("{what}: bad hex `{token}`"))

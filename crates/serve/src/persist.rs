@@ -147,11 +147,13 @@ impl JobRecord {
         let mut lines = store::unseal(text)?.lines();
         lines.next();
         fn take_kv(lines: &mut std::str::Lines<'_>, key: &str) -> Result<String, String> {
-            let line = lines.next().ok_or(format!("truncated before `{key}`"))?;
+            let line = lines
+                .next()
+                .ok_or_else(|| format!("truncated before `{key}`"))?;
             line.strip_prefix(key)
                 .and_then(|rest| rest.strip_prefix(' '))
                 .map(str::to_string)
-                .ok_or(format!("expected `{key} ...`, found `{line}`"))
+                .ok_or_else(|| format!("expected `{key} ...`, found `{line}`"))
         }
         let id: u64 = take_kv(&mut lines, "id")?
             .parse()
@@ -160,22 +162,20 @@ impl JobRecord {
         // The token line is optional (pre-idempotency records omit it).
         let next = lines
             .next()
-            .ok_or("truncated before `profile-lines`".to_string())?;
+            .ok_or_else(|| "truncated before `profile-lines`".to_string())?;
         let (token, count_line) = match next.strip_prefix("token ") {
             Some(token) => (
                 Some(token.to_string()),
                 lines
                     .next()
-                    .ok_or("truncated before `profile-lines`".to_string())?,
+                    .ok_or_else(|| "truncated before `profile-lines`".to_string())?,
             ),
             None => (None, next),
         };
         let profile_count: usize = count_line
             .strip_prefix("profile-lines")
             .and_then(|rest| rest.strip_prefix(' '))
-            .ok_or(format!(
-                "expected `profile-lines ...`, found `{count_line}`"
-            ))?
+            .ok_or_else(|| format!("expected `profile-lines ...`, found `{count_line}`"))?
             .parse()
             .map_err(|_| "bad profile-lines count".to_string())?;
         let mut profile_text = String::new();

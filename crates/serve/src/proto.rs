@@ -153,7 +153,7 @@ impl Request {
     /// first word (`too-large`).
     pub fn parse(line: &str) -> Result<Request, String> {
         let mut fields = line.split_whitespace();
-        let verb = fields.next().ok_or("empty request".to_string())?;
+        let verb = fields.next().ok_or_else(|| "empty request".to_string())?;
         let parsed = match verb {
             "SUBMIT" => {
                 let raw = fields.next().ok_or("SUBMIT needs a line count")?;
@@ -201,7 +201,9 @@ impl Request {
 }
 
 fn job_id(fields: &mut std::str::SplitWhitespace<'_>, verb: &str) -> Result<u64, String> {
-    let raw = fields.next().ok_or(format!("{verb} needs a job id"))?;
+    let raw = fields
+        .next()
+        .ok_or_else(|| format!("{verb} needs a job id"))?;
     raw.parse()
         .map_err(|_| format!("bad job id `{raw}` for {verb}"))
 }

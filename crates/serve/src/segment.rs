@@ -139,16 +139,19 @@ pub fn frame_entry(payload: &str) -> Vec<u8> {
 
 /// Reads one evaluation's hex-bit floats. `legacy` entries (written
 /// before latency joined the [`Evaluation`]) carry three values and
-/// load with latency zero; current entries carry four.
+/// load with latency zero; current entries carry four. `what` names
+/// the evaluation in errors and is only formatted when one is built.
 fn take_eval<'a>(
     tokens: &mut impl Iterator<Item = &'a str>,
-    what: &str,
+    what: &dyn std::fmt::Display,
     legacy: bool,
 ) -> Result<Evaluation, String> {
     let width = if legacy { 3 } else { 4 };
     let mut bits = [0u64; 4];
     for slot in bits.iter_mut().take(width) {
-        let token = tokens.next().ok_or(format!("{what}: missing field"))?;
+        let token = tokens
+            .next()
+            .ok_or_else(|| format!("{what}: missing field"))?;
         *slot = u64::from_str_radix(token, 16).map_err(|_| format!("{what}: bad hex `{token}`"))?;
     }
     Ok(Evaluation {
@@ -162,15 +165,16 @@ fn take_eval<'a>(
 /// Parses one payload line back into a [`CachedOutcome`].
 pub fn parse_entry(payload: &str) -> Result<CachedOutcome, String> {
     let mut tokens = payload.split_ascii_whitespace();
-    let kind = tokens.next().ok_or("empty entry payload".to_string())?;
+    let kind = tokens
+        .next()
+        .ok_or_else(|| "empty entry payload".to_string())?;
     let fp_token = tokens
         .next()
-        .ok_or("missing point fingerprint".to_string())?;
+        .ok_or_else(|| "missing point fingerprint".to_string())?;
     let fp = u64::from_str_radix(fp_token, 16)
         .map_err(|_| format!("bad point fingerprint `{fp_token}`"))?;
-    let point = DesignPoint::from_fingerprint(fp).ok_or(format!(
-        "fingerprint {fp:016x} encodes no valid design point"
-    ))?;
+    let point = DesignPoint::from_fingerprint(fp)
+        .ok_or_else(|| format!("fingerprint {fp:016x} encodes no valid design point"))?;
     // Width detection: an entry is current (four floats per evaluation)
     // exactly when its token count says so; anything else parses at the
     // legacy three-float width, whose own missing-field/trailing checks
@@ -179,22 +183,26 @@ pub fn parse_entry(payload: &str) -> Result<CachedOutcome, String> {
     let outcome = match kind {
         "n" => CachedOutcome::Nominal {
             point,
-            eval: take_eval(&mut tokens, "nominal evaluation", total_tokens != 2 + 4)?,
+            eval: take_eval(&mut tokens, &"nominal evaluation", total_tokens != 2 + 4)?,
         },
         "r" => {
             let count: usize = tokens
                 .next()
-                .ok_or("missing scenario count".to_string())?
+                .ok_or_else(|| "missing scenario count".to_string())?
                 .parse()
                 .map_err(|_| "bad scenario count".to_string())?;
             let legacy =
                 total_tokens != count.saturating_add(1).saturating_mul(4).saturating_add(3);
             // A megabyte-scale count with no payload behind it must fail
             // on the missing fields, not pre-allocate.
-            let nominal = take_eval(&mut tokens, "nominal evaluation", legacy)?;
+            let nominal = take_eval(&mut tokens, &"nominal evaluation", legacy)?;
             let mut scenarios = Vec::with_capacity(count.min(1024));
             for i in 0..count {
-                scenarios.push(take_eval(&mut tokens, &format!("scenario {i}"), legacy)?);
+                scenarios.push(take_eval(
+                    &mut tokens,
+                    &format_args!("scenario {i}"),
+                    legacy,
+                )?);
             }
             CachedOutcome::Robust {
                 point,
@@ -402,7 +410,7 @@ fn parse_framed<'a>(
         .ok()
         .and_then(|l| l.strip_prefix("key "))
         .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or(format!("malformed key line at byte {pos}"))?;
+        .ok_or_else(|| format!("malformed key line at byte {pos}"))?;
     pos = after_key;
 
     let mut payloads = Vec::new();

@@ -425,7 +425,10 @@ impl Server {
     /// A terminal job's result block (the exact persisted bytes).
     pub fn result(&self, id: u64) -> Result<String, String> {
         let state = self.state.lock().expect("server state poisoned");
-        let entry = state.jobs.get(&id).ok_or(format!("unknown job {id}"))?;
+        let entry = state
+            .jobs
+            .get(&id)
+            .ok_or_else(|| format!("unknown job {id}"))?;
         if !entry.record.state.is_terminal() {
             return Err(format!("job {id} is {}", entry.record.state));
         }
@@ -433,7 +436,7 @@ impl Server {
             .record
             .result
             .clone()
-            .ok_or(format!("job {id} has no result block"))
+            .ok_or_else(|| format!("job {id} has no result block"))
     }
 
     /// Cancels a job: a queued job goes terminal immediately; a running
@@ -483,7 +486,10 @@ impl Server {
         let mut guard = self.state.lock().expect("server state poisoned");
         let mut cursor = 0;
         loop {
-            let entry = guard.jobs.get(&id).ok_or(format!("unknown job {id}"))?;
+            let entry = guard
+                .jobs
+                .get(&id)
+                .ok_or_else(|| format!("unknown job {id}"))?;
             let job_state = entry.record.state;
             let fresh: Vec<String> = entry.progress[cursor..].to_vec();
             cursor += fresh.len();
@@ -568,7 +574,7 @@ impl Server {
                 .jobs
                 .get(&id)
                 .map(|entry| entry.profile.clone())
-                .ok_or(format!("unknown job {id}"))?
+                .ok_or_else(|| format!("unknown job {id}"))?
         };
         let suite_text = match profile.faults.as_ref() {
             Some(_) => Some(load_suite(&profile)?.0),

@@ -311,3 +311,66 @@ fn a_torn_tradeoff_archive_is_a_miss_not_the_front() {
     assert_eq!(tradeoff().status.code(), Some(4));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_miskeyed_tradeoff_archive_is_a_miss_not_the_front() {
+    let dir = std::env::temp_dir().join(format!("hi_opt_smoke_miskey_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let tradeoff = |seed: &str| {
+        hi_opt()
+            .args([
+                "tradeoff", "--floors", "60,90", "--tsim", "2", "--runs", "1", "--seed", seed,
+            ])
+            .arg("--archive")
+            .arg(&dir)
+            .output()
+            .expect("binary runs")
+    };
+    let segments = || -> Vec<std::path::PathBuf> {
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .expect("archive dir exists")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+            .collect();
+        paths.sort();
+        paths
+    };
+    let key_of = |path: &std::path::Path| {
+        let name = path.file_stem().unwrap().to_str().unwrap();
+        name.strip_prefix("front-").unwrap().to_string()
+    };
+    // Two physics (the seed is part of the key), each with its own file.
+    assert!(tradeoff("1").status.success());
+    let [one] = &segments()[..] else {
+        panic!("one front segment after the first run")
+    };
+    let one = one.clone();
+    let cold = tradeoff("2");
+    assert!(cold.status.success());
+    let cold_text = String::from_utf8_lossy(&cold.stdout).into_owned();
+    let two = segments()
+        .into_iter()
+        .find(|p| *p != one)
+        .expect("the second physics wrote its own segment");
+    let two_bytes = std::fs::read(&two).expect("segment reads");
+    assert_ne!(std::fs::read(&one).expect("segment reads"), two_bytes);
+
+    // Copy the first physics' front over the second's file.
+    std::fs::copy(&one, &two).expect("copy");
+    let rerun = tradeoff("2");
+    assert!(rerun.status.success());
+    let stderr = String::from_utf8_lossy(&rerun.stderr);
+    assert!(
+        stderr.contains(&format!(
+            "key line says {} but this physics is {}",
+            key_of(&one),
+            key_of(&two)
+        )),
+        "{stderr}"
+    );
+    // The miss re-runs the sweep: stdout is the cold run's, byte for byte,
+    // and the file holds this physics' front again.
+    assert_eq!(String::from_utf8_lossy(&rerun.stdout), cold_text);
+    assert_eq!(std::fs::read(&two).expect("segment reads"), two_bytes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
