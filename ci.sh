@@ -22,6 +22,9 @@ if cargo clippy --version > /dev/null 2>&1; then
 else
     echo "NOTICE: cargo clippy unavailable in this toolchain; skipping lint gate" >&2
 fi
+# Rustdoc, warnings as errors: a deleted item or a renamed path leaves
+# no dangling intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 cargo build --release
 HI_EXEC_THREADS=1 cargo test -q
 cargo test -q
@@ -310,6 +313,15 @@ target/release/hi-serve-client /tmp/hi_ci_serve/addr submit /tmp/hi_ci_serve_bad
     2> /tmp/hi_ci_serve_bad.err || RC=$?
 [ "$RC" -eq 4 ]
 grep -q HL042 /tmp/hi_ci_serve_bad.err
+# So must a robust profile whose Gamma exceeds the suite's protected
+# links (HL048), which `hi-opt explore` refuses with exit 2 above.
+printf 'profile greedy\ntsim 5\nruns 1\nengine robust-milp\ngamma 100\nfaults scenarios/demo.suite worst\n' \
+    > /tmp/hi_ci_serve_hl048.profile
+RC=0
+target/release/hi-serve-client /tmp/hi_ci_serve/addr submit /tmp/hi_ci_serve_hl048.profile \
+    2> /tmp/hi_ci_serve_hl048.err || RC=$?
+[ "$RC" -eq 4 ]
+grep -q HL048 /tmp/hi_ci_serve_hl048.err
 # The three-user fleet populated one shared Pareto archive: the twin's
 # FRONT query answers from alice's stream, byte-identically.
 target/release/hi-serve-client /tmp/hi_ci_serve/addr front 1 > /tmp/hi_ci_serve_f1.txt

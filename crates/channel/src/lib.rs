@@ -40,8 +40,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod csv;
-pub mod linkstats;
 mod location;
 mod pathloss;
 pub mod posture;

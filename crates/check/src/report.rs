@@ -79,7 +79,7 @@ impl fmt::Display for Violation {
 
 /// Acquire/release accounting for one lock across one execution.
 ///
-/// `hi-opt lint` lowers these into [`hi-lint`] `ModelLockSpec`s for rule
+/// `hi-opt lint` lowers these into `hi-lint`'s `ModelLockSpec`s for rule
 /// HL041 (a model program that never releases an acquired lock).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockUsage {

@@ -11,8 +11,9 @@
 use hi_net::AppParams;
 use hi_trace::wellknown as wk;
 
-use crate::checkpoint::{validate_resume, ExploreCheckpoint, ENGINE_ALGORITHM1};
+use crate::checkpoint::{validate_resume, ExploreCheckpoint};
 use crate::constraints::DesignSpace;
+use crate::engine::Engine;
 use crate::evaluator::{Evaluation, PointEvaluator};
 use crate::exhaustive::{best_feasible, improves, settled};
 use crate::milp_encode::MilpEncoding;
@@ -224,7 +225,7 @@ pub fn explore<P: PointEvaluator>(
     resume: Option<&ExploreCheckpoint>,
     observer: &mut dyn FnMut(&ExploreCheckpoint),
 ) -> Result<ExplorationOutcome, ExploreError> {
-    validate_resume(resume, ENGINE_ALGORITHM1, problem, options)?;
+    validate_resume(resume, Engine::Algorithm1, problem, options)?;
     let mut encoding = MilpEncoding::new(problem.space.constraints(), &problem.app);
     let mut cuts: Vec<f64> = Vec::new();
     let mut best: Option<(DesignPoint, Evaluation)> = None;
@@ -340,7 +341,7 @@ pub fn explore<P: PointEvaluator>(
             .is_some_and(|k| k > 0 && iterations.is_multiple_of(k))
         {
             observer(&ExploreCheckpoint {
-                engine: ENGINE_ALGORITHM1.to_string(),
+                engine: Engine::Algorithm1.to_string(),
                 pdr_min: problem.pdr_min,
                 alpha_correction: options.alpha_correction,
                 cuts: cuts.clone(),

@@ -31,25 +31,17 @@
 use std::path::Path;
 
 use crate::algorithm1::{ExploreError, ExploreOptions, Problem};
+use crate::engine::Engine;
 use crate::evaluator::Evaluation;
 use crate::point::DesignPoint;
 use crate::store;
-
-/// Engine label recorded in checkpoints by the paper's Algorithm 1 (the
-/// default: a checkpoint with no `engine` line belongs to it).
-pub const ENGINE_ALGORITHM1: &str = "algorithm1";
-/// Engine label recorded in checkpoints by the Γ-robust MILP engine.
-pub const ENGINE_ROBUST_MILP: &str = "robust-milp";
-/// Engine label recorded in checkpoints by the ILP restriction-and-repair
-/// heuristic.
-pub const ENGINE_ILP_HEURISTIC: &str = "ilp-heuristic";
 
 /// The resumable state of an exploration (Algorithm 1 or one of the
 /// robust engines).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExploreCheckpoint {
-    /// The engine that recorded the checkpoint
-    /// ([`ENGINE_ALGORITHM1`] when the file carries no `engine` line);
+    /// The [label](Engine::label) of the engine that recorded the
+    /// checkpoint (Algorithm 1's when the file carries no `engine` line);
     /// resume exits with a diagnostic when it does not match the engine
     /// asked to continue, because each engine's cut ladder replays into a
     /// different encoding.
@@ -76,12 +68,12 @@ pub struct ExploreCheckpoint {
 /// encoding under the problem it was recorded for.
 pub(crate) fn validate_resume(
     resume: Option<&ExploreCheckpoint>,
-    engine: &str,
+    engine: Engine,
     problem: &Problem,
     options: ExploreOptions,
 ) -> Result<(), ExploreError> {
     let Some(cp) = resume else { return Ok(()) };
-    if cp.engine != engine {
+    if cp.engine != engine.label() {
         return Err(ExploreError::Checkpoint(format!(
             "checkpoint was recorded by engine `{}`, this run uses `{engine}`",
             cp.engine
@@ -125,7 +117,7 @@ impl ExploreCheckpoint {
         outcome: &crate::ExplorationOutcome,
     ) -> Self {
         Self {
-            engine: ENGINE_ALGORITHM1.to_string(),
+            engine: Engine::Algorithm1.to_string(),
             pdr_min,
             alpha_correction,
             cuts: outcome.cuts.clone(),
@@ -161,7 +153,7 @@ impl ExploreCheckpoint {
         // Only non-default engines write the line: Algorithm 1 checkpoints
         // stay byte-identical to every pre-engine file (and resumable by
         // pre-engine readers, which reject unknown keys).
-        if self.engine != ENGINE_ALGORITHM1 {
+        if self.engine != Engine::Algorithm1.label() {
             out.push_str(&format!("engine {}\n", self.engine));
         }
         for cut in &self.cuts {
@@ -300,7 +292,7 @@ impl ExploreCheckpoint {
             return Err("truncated checkpoint: missing \"end\" line".into());
         }
         Ok(Self {
-            engine: engine.unwrap_or_else(|| ENGINE_ALGORITHM1.to_string()),
+            engine: engine.unwrap_or_else(|| Engine::Algorithm1.to_string()),
             pdr_min: pdr_min.ok_or("missing pdr_min")?,
             alpha_correction: alpha_correction.ok_or("missing alpha_correction")?,
             cuts,
@@ -351,7 +343,7 @@ mod tests {
 
     fn sample() -> ExploreCheckpoint {
         ExploreCheckpoint {
-            engine: ENGINE_ALGORITHM1.to_string(),
+            engine: Engine::Algorithm1.to_string(),
             pdr_min: 0.9,
             alpha_correction: true,
             cuts: vec![1.25, 1.5000000000000002, f64::MIN_POSITIVE],
@@ -406,18 +398,18 @@ mod tests {
         let default = sample();
         assert!(!default.to_text().contains("engine "));
         // Non-default engines stamp their label and it round-trips.
-        let robust = sample().with_engine(ENGINE_ROBUST_MILP);
+        let robust = sample().with_engine(Engine::RobustMilp { gamma: None }.label());
         let text = robust.to_text();
         assert!(text.contains("engine robust-milp\n"), "{text}");
         let parsed = ExploreCheckpoint::from_text(&text).unwrap();
-        assert_eq!(parsed.engine, ENGINE_ROBUST_MILP);
+        assert_eq!(parsed.engine, "robust-milp");
         assert_eq!(parsed, robust);
         // A file with no engine line parses as Algorithm 1's.
         assert_eq!(
             ExploreCheckpoint::from_text(&default.to_text())
                 .unwrap()
                 .engine,
-            ENGINE_ALGORITHM1
+            "algorithm1"
         );
     }
 

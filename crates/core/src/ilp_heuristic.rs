@@ -27,15 +27,18 @@
 use hi_channel::BodyLocation;
 
 use crate::algorithm1::{explore, ExploreError, ExploreOptions, Problem};
-use crate::checkpoint::{validate_resume, ExploreCheckpoint, ENGINE_ILP_HEURISTIC};
+use crate::checkpoint::{validate_resume, ExploreCheckpoint};
+use crate::engine::Engine;
 use crate::evaluator::PointEvaluator;
 use crate::milp_encode::MilpEncoding;
 use crate::parallel::ExecContext;
 use crate::robust_milp::{robust_milp_search, run_witness_ladder, RobustOutcome};
 use crate::robustness::{RobustnessSpec, DEVIATION_CAP_DB};
 
-/// Runs the restriction-and-repair heuristic (see the
-/// [module docs](self)).
+/// Runs the restriction-and-repair heuristic: pins the sites the fault
+/// suite does not target to the nominal optimum, solves the robust
+/// counterpart on the rest, and frees pins while the restricted model is
+/// infeasible.
 ///
 /// A degenerate `spec` delegates to plain Algorithm 1 bit for bit. If
 /// the nominal model is already infeasible there is nothing to restrict
@@ -59,7 +62,10 @@ pub fn ilp_heuristic_search<P: PointEvaluator>(
         return explore(problem, evaluator, options, exec, resume, observer)
             .map(RobustOutcome::degenerate);
     }
-    validate_resume(resume, ENGINE_ILP_HEURISTIC, problem, options)?;
+    let engine = Engine::IlpHeuristic {
+        gamma: Some(spec.gamma),
+    };
+    validate_resume(resume, engine, problem, options)?;
     let constraints = problem.space.constraints();
     // Step 1: the nominal witness seeds both the restriction and the
     // price-of-robustness baseline. One MILP solve, zero simulations.
@@ -101,7 +107,7 @@ pub fn ilp_heuristic_search<P: PointEvaluator>(
         observer,
         &mut encoding,
         pinned,
-        ENGINE_ILP_HEURISTIC,
+        engine,
     )?;
     Ok(RobustOutcome {
         outcome,

@@ -58,6 +58,7 @@ mod algorithm1;
 mod checkpoint;
 mod constraints;
 mod crc32;
+mod engine;
 mod evaluator;
 mod exhaustive;
 mod ilp_heuristic;
@@ -78,12 +79,10 @@ mod tradeoff;
 pub use algorithm1::{
     explore, ExplorationOutcome, ExploreError, ExploreOptions, Problem, StopReason,
 };
-pub use checkpoint::{
-    load_checkpoint_file, CheckpointLoadError, ExploreCheckpoint, ENGINE_ALGORITHM1,
-    ENGINE_ILP_HEURISTIC, ENGINE_ROBUST_MILP,
-};
+pub use checkpoint::{load_checkpoint_file, CheckpointLoadError, ExploreCheckpoint};
 pub use constraints::{DesignSpace, TopologyConstraints};
 pub use crc32::crc32_ieee;
+pub use engine::{Engine, EngineOutcome};
 pub use evaluator::{Evaluation, FnEvaluator, PointEvaluator, SharedSimEvaluator, SimProtocol};
 pub use exhaustive::{exhaustive_search, ExhaustiveOutcome};
 pub use hi_exec::{CancelToken, ChaosPolicy, EvalError, RetryPolicy, Supervisor};

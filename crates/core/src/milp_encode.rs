@@ -358,9 +358,7 @@ impl MilpEncoding {
     /// the remaining optimal solutions are exactly the other placements of
     /// the same size (under the same topological constraints) combined
     /// with either MAC — the pool is expanded combinatorially instead of
-    /// re-solving behind no-good cuts. (For generic models,
-    /// [`hi_milp::pool::enumerate_optima`] provides the cut-based
-    /// equivalent.)
+    /// re-solving behind no-good cuts.
     ///
     /// `P̄*` is the lattice cost of the optimum's `(N, power, routing)`
     /// cell, not the solver's floating-point objective, so it does not

@@ -27,7 +27,8 @@ use hi_trace::wellknown as wk;
 use crate::algorithm1::{
     explore, ExplorationOutcome, ExploreError, ExploreOptions, Problem, StopReason,
 };
-use crate::checkpoint::{validate_resume, ExploreCheckpoint, ENGINE_ROBUST_MILP};
+use crate::checkpoint::{validate_resume, ExploreCheckpoint};
+use crate::engine::Engine;
 use crate::evaluator::PointEvaluator;
 use crate::milp_encode::MilpEncoding;
 use crate::parallel::ExecContext;
@@ -85,7 +86,7 @@ pub(crate) fn run_witness_ladder<P: PointEvaluator>(
     observer: &mut dyn FnMut(&ExploreCheckpoint),
     encoding: &mut MilpEncoding,
     mut repair_queue: Vec<usize>,
-    engine: &'static str,
+    engine: Engine,
 ) -> Result<(ExplorationOutcome, Option<f64>, u32), ExploreError> {
     let mut cuts: Vec<f64> = Vec::new();
     let mut best = None;
@@ -213,7 +214,8 @@ pub(crate) fn run_witness_ladder<P: PointEvaluator>(
     ))
 }
 
-/// Runs the Γ-robust MILP engine (see the [module docs](self)).
+/// Runs the Γ-robust MILP engine: climbs the Bertsimas–Sim robust
+/// counterpart's witness ladder, simulating only each level's witness.
 ///
 /// A degenerate `spec` delegates to [`explore`] bit for bit.
 /// The ladder accepts the first witness whose (evaluator-aggregated)
@@ -239,7 +241,10 @@ pub fn robust_milp_search<P: PointEvaluator>(
         return explore(problem, evaluator, options, exec, resume, observer)
             .map(RobustOutcome::degenerate);
     }
-    validate_resume(resume, ENGINE_ROBUST_MILP, problem, options)?;
+    let engine = Engine::RobustMilp {
+        gamma: Some(spec.gamma),
+    };
+    validate_resume(resume, engine, problem, options)?;
     let constraints = problem.space.constraints();
     // The price-of-robustness baseline: one nominal solve, zero sims.
     let nominal_power_mw = MilpEncoding::new(constraints, &problem.app)
@@ -255,7 +260,7 @@ pub fn robust_milp_search<P: PointEvaluator>(
         observer,
         &mut encoding,
         Vec::new(),
-        ENGINE_ROBUST_MILP,
+        engine,
     )?;
     Ok(RobustOutcome {
         outcome,

@@ -67,8 +67,10 @@ pub struct RobustnessSpec {
 }
 
 impl RobustnessSpec {
-    /// Derives per-link deviation bounds from `suite` (see the
-    /// [module docs](self) for the mapping).
+    /// Derives per-link deviation bounds from `suite`: a blackout or a
+    /// dead endpoint puts a pair at [`DEVIATION_CAP_DB`], a burst applies
+    /// its extra loss to every pair, and each pair keeps its maximum over
+    /// the scenarios.
     pub fn from_suite(suite: &FaultSuite, gamma: u32) -> Self {
         let n = BodyLocation::COUNT;
         let mut delta = vec![vec![0.0f64; n]; n];

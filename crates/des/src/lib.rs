@@ -12,8 +12,7 @@
 //! * [`rng`] — seed-derived independent random streams (SplitMix64-based),
 //!   so each stochastic component of a model gets its own reproducible
 //!   generator.
-//! * [`stats`] — counters, Welford tallies, time-weighted averages and
-//!   fixed-bin histograms for collecting run metrics.
+//! * [`stats`] — Welford tallies for collecting run metrics.
 //!
 //! # Example
 //!

@@ -1,37 +1,4 @@
-//! Run-statistics collectors.
-//!
-//! These are the standard DES observation tools: event [`Counter`]s,
-//! sample [`Tally`]s (Welford mean/variance), [`TimeWeighted`] averages for
-//! state variables (e.g. queue length, radio power state) and a fixed-bin
-//! [`Histogram`].
-
-use crate::{SimDuration, SimTime};
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// The current count.
-    pub fn count(&self) -> u64 {
-        self.0
-    }
-}
+//! Run-statistics collectors: sample [`Tally`]s (Welford mean/variance).
 
 /// Welford's online mean/variance over observed samples.
 #[derive(Debug, Clone, Copy, Default)]
@@ -104,234 +71,9 @@ impl Tally {
     }
 }
 
-/// Time-weighted average of a piecewise-constant state variable.
-///
-/// Call [`update`](TimeWeighted::update) whenever the value changes; the
-/// integral `∫ value dt` accumulates between updates.
-#[derive(Debug, Clone, Copy)]
-pub struct TimeWeighted {
-    value: f64,
-    last_change: SimTime,
-    integral: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Starts observation at `t0` with the given initial value.
-    pub fn new(t0: SimTime, initial: f64) -> Self {
-        Self {
-            value: initial,
-            last_change: t0,
-            integral: 0.0,
-            start: t0,
-        }
-    }
-
-    /// Sets a new value effective at time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` precedes the previous update (time must be monotone).
-    pub fn update(&mut self, t: SimTime, value: f64) {
-        let dt = t.duration_since(self.last_change);
-        self.integral += self.value * dt.as_secs_f64();
-        self.value = value;
-        self.last_change = t;
-    }
-
-    /// The current value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// `∫ value dt` from start through `t` divided by the elapsed time.
-    /// Returns the current value if no time has elapsed.
-    pub fn average(&self, t: SimTime) -> f64 {
-        let dt = t.duration_since(self.last_change);
-        let total = t.duration_since(self.start).as_secs_f64();
-        if total == 0.0 {
-            return self.value;
-        }
-        (self.integral + self.value * dt.as_secs_f64()) / total
-    }
-
-    /// `∫ value dt` from the start of observation through `t`.
-    pub fn integral(&self, t: SimTime) -> f64 {
-        let dt = t.duration_since(self.last_change);
-        self.integral + self.value * dt.as_secs_f64()
-    }
-}
-
-/// A histogram with uniform bins over `[lo, hi)` plus under/overflow bins.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `nbins` uniform bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nbins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(nbins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram range must be non-empty");
-        Self {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n = self.bins.len();
-            let idx = ((x - self.lo) / (self.hi - self.lo) * n as f64) as usize;
-            self.bins[idx.min(n - 1)] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count of samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of samples at or above the range's end.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples recorded, including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// The `(low_edge, high_edge)` of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.bins.len());
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-}
-
-/// Batch-means estimator for steady-state simulation output.
-///
-/// Correlated observation streams (per-packet latencies, rolling PDR)
-/// violate the independence assumption behind naive confidence
-/// intervals; grouping consecutive observations into fixed-size batches
-/// and treating the batch means as (approximately) independent is the
-/// standard remedy. Used to justify the paper's "Tsim = 600 s, 3 runs,
-/// <0.5% error" protocol (experiment E4).
-#[derive(Debug, Clone)]
-pub struct BatchMeans {
-    batch_size: u64,
-    current_sum: f64,
-    current_count: u64,
-    batch_means: Vec<f64>,
-}
-
-impl BatchMeans {
-    /// Creates an estimator with the given batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn new(batch_size: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        Self {
-            batch_size,
-            current_sum: 0.0,
-            current_count: 0,
-            batch_means: Vec::new(),
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.current_sum += x;
-        self.current_count += 1;
-        if self.current_count == self.batch_size {
-            self.batch_means
-                .push(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_count = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn batches(&self) -> usize {
-        self.batch_means.len()
-    }
-
-    /// Grand mean over completed batches (0 with no complete batch).
-    pub fn mean(&self) -> f64 {
-        if self.batch_means.is_empty() {
-            return 0.0;
-        }
-        self.batch_means.iter().sum::<f64>() / self.batch_means.len() as f64
-    }
-
-    /// Approximate 95% confidence half-width over the batch means
-    /// (normal critical value; `None` with fewer than two batches).
-    pub fn half_width_95(&self) -> Option<f64> {
-        let k = self.batch_means.len();
-        if k < 2 {
-            return None;
-        }
-        let mean = self.mean();
-        let var = self
-            .batch_means
-            .iter()
-            .map(|m| (m - mean).powi(2))
-            .sum::<f64>()
-            / (k - 1) as f64;
-        Some(1.96 * (var / k as f64).sqrt())
-    }
-}
-
-/// Convenience: converts an energy (joules) spent over a duration to the
-/// average power in milliwatts.
-pub fn average_power_mw(energy_j: f64, elapsed: SimDuration) -> f64 {
-    let secs = elapsed.as_secs_f64();
-    if secs == 0.0 {
-        0.0
-    } else {
-        energy_j / secs * 1e3
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.count(), 5);
-    }
 
     #[test]
     fn tally_mean_and_variance() {
@@ -352,90 +94,5 @@ mod tests {
         let t = Tally::new();
         assert_eq!(t.mean(), 0.0);
         assert_eq!(t.variance(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.update(SimTime::from_secs(1.0), 10.0); // value 0 for 1 s
-        tw.update(SimTime::from_secs(3.0), 0.0); // value 10 for 2 s
-        let avg = tw.average(SimTime::from_secs(4.0)); // value 0 for 1 s
-        assert!((avg - 20.0 / 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_integral() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 1.0);
-        tw.update(SimTime::from_secs(2.0), 3.0);
-        assert!((tw.integral(SimTime::from_secs(3.0)) - (2.0 + 3.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.5, 1.5, 2.5, 9.9, 10.0, -0.1] {
-            h.record(x);
-        }
-        assert_eq!(h.bins(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.bin_edges(0), (0.0, 2.0));
-    }
-
-    #[test]
-    fn batch_means_groups_correctly() {
-        let mut bm = BatchMeans::new(3);
-        for x in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0] {
-            bm.record(x);
-        }
-        // Two complete batches: means 2 and 5; the trailing 7 is pending.
-        assert_eq!(bm.batches(), 2);
-        assert!((bm.mean() - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_means_ci_shrinks_with_data() {
-        // Deterministic pseudo-noise around 10.
-        let mut state = 1u64;
-        let mut noise = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-        };
-        let mut small = BatchMeans::new(10);
-        let mut large = BatchMeans::new(10);
-        for i in 0..10_000 {
-            let x = 10.0 + noise();
-            if i < 200 {
-                small.record(x);
-            }
-            large.record(x);
-        }
-        let hw_small = small.half_width_95().unwrap();
-        let hw_large = large.half_width_95().unwrap();
-        assert!(hw_large < hw_small / 2.0, "{hw_large} !< {hw_small}/2");
-        assert!((large.mean() - 10.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn batch_means_needs_two_batches_for_ci() {
-        let mut bm = BatchMeans::new(5);
-        for _ in 0..5 {
-            bm.record(1.0);
-        }
-        assert_eq!(bm.batches(), 1);
-        assert!(bm.half_width_95().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn batch_means_rejects_zero_size() {
-        let _ = BatchMeans::new(0);
-    }
-
-    #[test]
-    fn average_power_helper() {
-        let p = average_power_mw(0.6, SimDuration::from_secs(600.0));
-        assert!((p - 1.0).abs() < 1e-12); // 0.6 J over 600 s = 1 mW
     }
 }

@@ -26,13 +26,12 @@ use hi_opt::lint::lint_faults;
 use hi_opt::net::{
     average_outcomes, simulate_stochastic, MacKind, NetworkConfig, Routing, TxPower,
 };
+use hi_opt::serve::FleetEvaluator;
 use hi_opt::{
-    explore, explore_tradeoff_par, ilp_heuristic_search, parse_fault_suite, robust_milp_search,
-    store, supervision_spec, ChaosPolicy, CheckpointLoadError, DesignSpace, ExecContext,
-    ExplorationOutcome, ExploreCheckpoint, ExploreError, ExploreOptions, FaultSuite, MilpEncoding,
-    Problem, RetryPolicy, RobustEvaluator, RobustMode, RobustnessSpec, SimProtocol,
-    SuiteParseError, SupervisedEvaluator, Supervisor, TopologyConstraints, ENGINE_ALGORITHM1,
-    ENGINE_ILP_HEURISTIC, ENGINE_ROBUST_MILP,
+    explore_tradeoff_par, parse_fault_suite, store, supervision_spec, ChaosPolicy,
+    CheckpointLoadError, DesignSpace, Engine, ExecContext, ExplorationOutcome, ExploreCheckpoint,
+    ExploreError, ExploreOptions, FaultSuite, MilpEncoding, Problem, RetryPolicy, RobustEvaluator,
+    RobustMode, SimProtocol, SuiteParseError, SupervisedEvaluator, Supervisor, TopologyConstraints,
 };
 
 const USAGE: &str = "\
@@ -177,7 +176,10 @@ Profile files submitted over the protocol (`#` starts a comment):
     pdrmin <0..1>                    reliability floor
     engine <name>                    search engine: algorithm1, exhaustive,
                                      robust-milp or ilp-heuristic
-    gamma <k>                        deviation budget (robust engines only)
+    gamma <k>                        deviation budget (robust engines only;
+                                     default 1); with `faults`, linted at
+                                     submit: HL048 errors bounce the
+                                     submission, gamma 0 runs algorithm1
     tsim/runs/seed <n>               simulation protocol knobs
     faults <file> [worst|nominal|qNN]  robust scoring over a fault suite
 
@@ -415,39 +417,16 @@ fn parse_robust(value: &str) -> Result<RobustMode, CliError> {
     }
 }
 
-/// The `--engine` selection for `explore`. The label doubles as the
-/// checkpoint header's engine name, so a `--resume` across engines is
-/// detected by exact string comparison.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum EngineKind {
-    Algorithm1,
-    RobustMilp,
-    IlpHeuristic,
-}
-
-impl EngineKind {
-    fn parse(value: &str) -> Result<Self, CliError> {
-        match value {
-            "algorithm1" => Ok(EngineKind::Algorithm1),
-            "robust-milp" => Ok(EngineKind::RobustMilp),
-            "ilp-heuristic" => Ok(EngineKind::IlpHeuristic),
-            other => Err(CliError::Usage(format!(
-                "bad --engine `{other}` (use algorithm1, robust-milp or ilp-heuristic)"
-            ))),
-        }
-    }
-
-    fn label(self) -> &'static str {
-        match self {
-            EngineKind::Algorithm1 => ENGINE_ALGORITHM1,
-            EngineKind::RobustMilp => ENGINE_ROBUST_MILP,
-            EngineKind::IlpHeuristic => ENGINE_ILP_HEURISTIC,
-        }
-    }
-
-    fn is_robust(self) -> bool {
-        matches!(self, EngineKind::RobustMilp | EngineKind::IlpHeuristic)
-    }
+/// The `--engine` value: every engine but the exhaustive sweep, which
+/// `explore` does not offer.
+fn parse_engine(value: &str) -> Result<Engine, CliError> {
+    Engine::parse(value)
+        .filter(|engine| *engine != Engine::Exhaustive)
+        .ok_or_else(|| {
+            CliError::Usage(format!(
+                "bad --engine `{value}` (use algorithm1, robust-milp or ilp-heuristic)"
+            ))
+        })
 }
 
 fn robust_name(mode: RobustMode) -> String {
@@ -542,25 +521,18 @@ fn print_best(outcome: &ExplorationOutcome, pdr_min: f64) {
 /// fault suite. Cached from the exploration: reprinting the scorecard
 /// costs no extra simulations.
 fn print_scorecard(
-    evaluator: &SupervisedEvaluator<RobustEvaluator>,
+    evaluator: &RobustEvaluator,
     outcome: &ExplorationOutcome,
 ) -> Result<(), CliError> {
     let Some((point, _)) = &outcome.best else {
         return Ok(());
     };
     let card = evaluator
-        .inner()
         .try_robust_eval(point)
         .map_err(|e| CliError::Spec(format!("robust evaluation of the optimum failed: {e}")))?;
     let mut worst_name = "nominal";
     let mut worst_pdr = card.nominal.pdr;
-    for (sc, ev) in evaluator
-        .inner()
-        .suite()
-        .scenarios
-        .iter()
-        .zip(&card.scenarios)
-    {
+    for (sc, ev) in evaluator.suite().scenarios.iter().zip(&card.scenarios) {
         if ev.pdr < worst_pdr {
             worst_pdr = ev.pdr;
             worst_name = &sc.name;
@@ -577,7 +549,7 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
     let mut pdr_min = None;
     let mut faults: Option<String> = None;
     let mut robust: Option<RobustMode> = None;
-    let mut engine = EngineKind::Algorithm1;
+    let mut engine = Engine::Algorithm1;
     let mut gamma: Option<u32> = None;
     let mut budget: Option<u64> = None;
     let mut checkpoint: Option<String> = None;
@@ -593,7 +565,7 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
             }
             "--faults" => faults = Some(v),
             "--robust" => robust = Some(parse_robust(&v)?),
-            "--engine" => engine = EngineKind::parse(&v)?,
+            "--engine" => engine = parse_engine(&v)?,
             "--gamma" => {
                 gamma = Some(v.parse::<u32>().map_err(|_| {
                     "bad --gamma (expected a non-negative deviation budget)".to_owned()
@@ -639,12 +611,11 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
     if robust.is_some() && faults.is_none() {
         return Err("--robust needs --faults <file> (nothing to be robust against)".into());
     }
-    if gamma.is_some() && !engine.is_robust() {
-        return Err(
+    if let Some(gamma) = gamma {
+        engine = engine.with_gamma(gamma).ok_or(
             "--gamma needs --engine robust-milp or ilp-heuristic (the nominal engine prices \
-             no deviations)"
-                .into(),
-        );
+             no deviations)",
+        )?;
     }
     if resume && checkpoint.is_none() {
         return Err("--resume needs --checkpoint <file> to resume from".into());
@@ -682,33 +653,19 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
     // spent. A degenerate specification — Gamma 0 or no protected links
     // — falls back to the nominal engine with a stderr note, so its
     // stdout stays byte-identical to a plain algorithm1 run's.
-    let mut spec: Option<RobustnessSpec> = None;
-    if engine.is_robust() {
-        let gamma = gamma.unwrap_or(1);
-        let derived = match &suite {
-            Some(s) => RobustnessSpec::from_suite(s, gamma),
-            None => RobustnessSpec {
-                gamma,
-                deviations: Vec::new(),
-            },
-        };
-        let report = hi_opt::lint::lint_robustness(&hi_opt::lint::RobustnessLintSpec {
-            gamma: i64::from(gamma),
-            protected_links: derived.deviations.len(),
-            deviation_bounds: derived.deviations.iter().map(|d| d.delta_db).collect(),
-            robust_engine: true,
-            suite_scenarios: suite.as_ref().map_or(0, |s| s.len()),
-        });
+    let mut spec = None;
+    if let Some((derived, report)) = engine.check_robustness(suite.as_ref()) {
         for finding in report.findings() {
             eprintln!("robustness: {finding}");
         }
         if derived.is_degenerate() {
             eprintln!(
-                "note: the robustness specification is degenerate (gamma = {gamma}, {} \
+                "note: the robustness specification is degenerate (gamma = {}, {} \
                  protected link(s)); running the nominal algorithm1 engine",
+                derived.gamma,
                 derived.deviations.len()
             );
-            engine = EngineKind::Algorithm1;
+            engine = Engine::Algorithm1;
         } else if report.has_errors() {
             return Err(CliError::Usage(format!(
                 "robustness specification has {} error-severity lint finding(s)",
@@ -760,133 +717,60 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
     let trace_main = session.install_main();
     let exec = common.exec_context(&session);
 
-    let (outcome, cache) = match (engine, suite) {
-        (EngineKind::Algorithm1, Some(suite)) => {
+    let protocol = common.protocol().with_max_events(max_events);
+    let inner = match suite {
+        Some(suite) => {
             let mode = robust.unwrap_or(RobustMode::WorstCase);
             println!(
                 "fault suite    : {} scenario(s), {} aggregation",
                 suite.len(),
                 robust_name(mode)
             );
-            let evaluator = SupervisedEvaluator::new(
-                RobustEvaluator::new(common.protocol().with_max_events(max_events), suite, mode),
-                supervisor,
-            );
-            let outcome = explore(
-                &problem,
-                &evaluator,
-                options,
-                &exec,
-                prior.as_ref(),
-                &mut observer,
-            )
-            .map_err(explore_err)?;
-            print_best(&outcome, pdr_min);
-            print_scorecard(&evaluator, &outcome)?;
-            (
-                outcome,
-                (
-                    evaluator.inner().cache_hits(),
-                    evaluator.inner().cache_misses(),
-                ),
-            )
+            FleetEvaluator::Robust(RobustEvaluator::new(protocol, suite, mode))
         }
-        (kind, Some(suite)) => {
-            let spec = spec
-                .take()
-                .expect("non-degenerate robust engines carry a spec");
-            let mode = robust.unwrap_or(RobustMode::WorstCase);
-            println!(
-                "fault suite    : {} scenario(s), {} aggregation",
-                suite.len(),
-                robust_name(mode)
-            );
-            println!(
-                "engine         : {} (gamma = {}, {} protected link(s))",
-                kind.label(),
-                spec.gamma,
-                spec.deviations.len()
-            );
-            let evaluator = SupervisedEvaluator::new(
-                RobustEvaluator::new(common.protocol().with_max_events(max_events), suite, mode),
-                supervisor,
-            );
-            let result = match kind {
-                EngineKind::RobustMilp => robust_milp_search(
-                    &problem,
-                    &spec,
-                    &evaluator,
-                    options,
-                    &exec,
-                    prior.as_ref(),
-                    &mut observer,
-                ),
-                _ => ilp_heuristic_search(
-                    &problem,
-                    &spec,
-                    &evaluator,
-                    options,
-                    &exec,
-                    prior.as_ref(),
-                    &mut observer,
-                ),
-            }
-            .map_err(explore_err)?;
-            print_best(&result.outcome, pdr_min);
-            print_scorecard(&evaluator, &result.outcome)?;
-            if let (Some(nominal), Some(robust_mw)) =
-                (result.nominal_power_mw, result.robust_power_mw)
-            {
-                println!(
-                    "price of robustness : nominal {:.3} mW -> robust {:.3} mW (+{:.1}%), \
-                     {} simulation(s)",
-                    nominal,
-                    robust_mw,
-                    (robust_mw - nominal) / nominal * 100.0,
-                    result.outcome.simulations
-                );
-            }
-            if kind == EngineKind::IlpHeuristic {
-                println!("repairs        : {} pinned site(s) freed", result.repairs);
-            }
-            (
-                result.outcome,
-                (
-                    evaluator.inner().cache_hits(),
-                    evaluator.inner().cache_misses(),
-                ),
-            )
-        }
-        (EngineKind::RobustMilp | EngineKind::IlpHeuristic, None) => {
-            unreachable!("degenerate robust specifications run as algorithm1")
-        }
-        (EngineKind::Algorithm1, None) => {
-            let evaluator = SupervisedEvaluator::new(
-                common
-                    .protocol()
-                    .with_max_events(max_events)
-                    .shared_evaluator(),
-                supervisor,
-            );
-            let outcome = explore(
-                &problem,
-                &evaluator,
-                options,
-                &exec,
-                prior.as_ref(),
-                &mut observer,
-            )
-            .map_err(explore_err)?;
-            print_best(&outcome, pdr_min);
-            (
-                outcome,
-                (
-                    evaluator.inner().cache_hits(),
-                    evaluator.inner().unique_evaluations(),
-                ),
-            )
-        }
+        None => FleetEvaluator::Nominal(protocol.shared_evaluator()),
     };
+    let evaluator = SupervisedEvaluator::new(inner, supervisor);
+    if let Some(spec) = &spec {
+        println!(
+            "engine         : {engine} (gamma = {}, {} protected link(s))",
+            spec.gamma,
+            spec.deviations.len()
+        );
+    }
+    let run = engine
+        .run(
+            &problem,
+            &evaluator,
+            spec.as_ref(),
+            &exec,
+            options,
+            prior.as_ref(),
+            &mut observer,
+        )
+        .map_err(explore_err)?;
+    let outcome = run.outcome;
+    print_best(&outcome, pdr_min);
+    if let FleetEvaluator::Robust(robust) = evaluator.inner() {
+        print_scorecard(robust, &outcome)?;
+    }
+    if let Some((nominal, robust_mw)) = run.price_mw {
+        println!(
+            "price of robustness : nominal {:.3} mW -> robust {:.3} mW (+{:.1}%), \
+             {} simulation(s)",
+            nominal,
+            robust_mw,
+            (robust_mw - nominal) / nominal * 100.0,
+            outcome.simulations
+        );
+    }
+    if let Some(repairs) = run.repairs {
+        println!("repairs        : {repairs} pinned site(s) freed");
+    }
+    let cache = (
+        evaluator.inner().cache_hits(),
+        evaluator.inner().cache_misses(),
+    );
     if outcome.eval_errors > 0 {
         println!(
             "eval errors    : {} design point(s) failed evaluation and were skipped",

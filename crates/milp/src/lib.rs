@@ -19,9 +19,6 @@
 //!   kept tableau after rows are appended or bounds tightened.
 //! * [`branch`] — depth-first branch & bound over the integer variables,
 //!   diving into the child nearest the LP value first.
-//! * [`pool`] — enumeration of *all* optimal solutions over the binary
-//!   variables via no-good cuts, mirroring the "set of candidate solutions"
-//!   returned by line 3 of Algorithm 1 in the paper.
 //! * [`presolve`] — activity-based bound tightening, run automatically
 //!   before branch & bound.
 //! * [`WarmModel`] — a model that keeps its root relaxation solved across
@@ -55,7 +52,6 @@ pub mod branch;
 mod error;
 mod expr;
 mod model;
-pub mod pool;
 pub mod presolve;
 pub mod simplex;
 mod solution;

@@ -21,20 +21,20 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use hi_core::{
-    exhaustive_search, explore, ilp_heuristic_search, robust_milp_search, DesignPoint, EvalError,
-    Evaluation, ExecContext, ExploreCheckpoint, ExploreOptions, PointEvaluator, RetryPolicy,
-    RobustEvaluator, RobustnessSpec, SharedSimEvaluator, StopReason, SupervisedEvaluator,
-    Supervisor,
+    DesignPoint, EvalError, Evaluation, ExecContext, ExploreCheckpoint, ExploreOptions,
+    PointEvaluator, RetryPolicy, RobustEvaluator, SharedSimEvaluator, StopReason,
+    SupervisedEvaluator, Supervisor,
 };
 
-use crate::profile::{EngineChoice, UserProfile};
+use crate::profile::UserProfile;
 use crate::segment::CachedOutcome;
 
 /// One entry of the fleet pool: a nominal or robust shared evaluator.
 ///
 /// Both variants are cheap clones around one shared cache; the enum
 /// exists so one pool can hold both kinds and hand either to the
-/// engines through [`PointEvaluator`].
+/// engines through [`PointEvaluator`]. `hi-opt explore` runs its one
+/// evaluator through it too.
 #[derive(Debug, Clone)]
 pub enum FleetEvaluator {
     /// Plain protocol evaluation (no fault suite).
@@ -77,7 +77,8 @@ impl FleetEvaluator {
         }
     }
 
-    /// Every `Ok` outcome lowered to a Pareto [`FrontPoint`] offer:
+    /// Every `Ok` outcome lowered to a Pareto
+    /// [`FrontPoint`](hi_pareto::FrontPoint) offer:
     /// nominal evaluations directly, robust scorecards aggregated by the
     /// stream's robust mode (the same pessimism the engine optimized
     /// under). The archive's dominance filter decides what survives.
@@ -245,10 +246,12 @@ pub struct ProfileOutcome {
     pub cache_misses: u64,
 }
 
-/// Runs one profile's search on `evaluator` under `policy`.
+/// Runs one profile's search on `evaluator` under `policy`, through
+/// [`Engine::run`](hi_core::Engine::run).
 ///
-/// Algorithm-1 jobs honor `resume` (a PR-5 CRC-checked checkpoint) and
-/// hand `observer` every auto-checkpoint; exhaustive jobs ignore both —
+/// Every engine that [resumes](hi_core::Engine::resumes) honors
+/// `resume` (a CRC-checked checkpoint) and hands `observer` every
+/// auto-checkpoint; exhaustive jobs ignore both —
 /// they are a single sweep and simply rerun after a crash (the fleet
 /// cache makes the rerun cheap within one daemon lifetime).
 pub fn run_profile(
@@ -263,92 +266,42 @@ pub fn run_profile(
     let supervised = SupervisedEvaluator::new(evaluator.clone(), supervisor);
     let hits_before = evaluator.cache_hits();
     let misses_before = evaluator.cache_misses();
-    let problem = profile.problem();
-    let outcome = match profile.engine {
-        EngineChoice::Algorithm1 => {
-            let options = ExploreOptions {
-                checkpoint_every: policy.checkpoint_every,
-                ..ExploreOptions::default()
-            };
-            let out = explore(&problem, &supervised, options, exec, resume, observer)
-                .map_err(|e| e.to_string())?;
-            ProfileOutcome {
-                best: out.best,
-                iterations: out.iterations,
-                candidates: out.candidates_proposed,
-                simulations: out.simulations,
-                eval_errors: out.eval_errors,
-                stop_reason: Some(out.stop_reason),
-                cache_hits: 0,
-                cache_misses: 0,
-            }
-        }
-        EngineChoice::Exhaustive => {
-            let out = exhaustive_search(&problem, &supervised, exec);
-            ProfileOutcome {
-                best: out.best,
-                iterations: 0,
-                candidates: out.evaluations.len() as u64 + out.eval_errors,
-                simulations: out.simulations,
-                eval_errors: out.eval_errors,
-                stop_reason: None,
-                cache_hits: 0,
-                cache_misses: 0,
-            }
-        }
-        EngineChoice::RobustMilp | EngineChoice::IlpHeuristic => {
-            // Deviation bounds come from the stream's fault suite; a
-            // nominal stream (no `faults` line) yields a degenerate spec,
-            // so the engine delegates to Algorithm 1 bit for bit.
-            let gamma = profile.gamma.unwrap_or(1);
-            let spec = match evaluator {
-                FleetEvaluator::Robust(e) => RobustnessSpec::from_suite(e.suite(), gamma),
-                FleetEvaluator::Nominal(_) => RobustnessSpec {
-                    gamma,
-                    deviations: Vec::new(),
-                },
-            };
-            let options = ExploreOptions {
-                checkpoint_every: policy.checkpoint_every,
-                ..ExploreOptions::default()
-            };
-            let out = match profile.engine {
-                EngineChoice::RobustMilp => robust_milp_search(
-                    &problem,
-                    &spec,
-                    &supervised,
-                    options,
-                    exec,
-                    resume,
-                    observer,
-                ),
-                _ => ilp_heuristic_search(
-                    &problem,
-                    &spec,
-                    &supervised,
-                    options,
-                    exec,
-                    resume,
-                    observer,
-                ),
-            }
-            .map_err(|e| e.to_string())?;
-            ProfileOutcome {
-                best: out.outcome.best,
-                iterations: out.outcome.iterations,
-                candidates: out.outcome.candidates_proposed,
-                simulations: out.outcome.simulations,
-                eval_errors: out.outcome.eval_errors,
-                stop_reason: Some(out.outcome.stop_reason),
-                cache_hits: 0,
-                cache_misses: 0,
-            }
-        }
+    // A robust job's deviation bounds come from its stream's fault
+    // suite; a nominal stream (no `faults` line) yields a degenerate
+    // specification, so the job runs Algorithm 1 bit for bit.
+    let suite = match evaluator {
+        FleetEvaluator::Robust(e) => Some(e.suite()),
+        FleetEvaluator::Nominal(_) => None,
     };
+    let spec = profile.engine.robustness(suite);
+    let options = ExploreOptions {
+        checkpoint_every: policy.checkpoint_every,
+        ..ExploreOptions::default()
+    };
+    let out = profile
+        .engine
+        .run(
+            &profile.problem(),
+            &supervised,
+            spec.as_ref(),
+            exec,
+            options,
+            resume,
+            observer,
+        )
+        .map_err(|e| e.to_string())?
+        .outcome;
     Ok(ProfileOutcome {
+        best: out.best,
+        iterations: out.iterations,
+        candidates: out.candidates_proposed,
+        simulations: out.simulations,
+        eval_errors: out.eval_errors,
+        // An exhaustive sweep has no stop rule, so its block has no
+        // `stop` line.
+        stop_reason: profile.engine.resumes().then_some(out.stop_reason),
         cache_hits: evaluator.cache_hits() - hits_before,
         cache_misses: evaluator.cache_misses() - misses_before,
-        ..outcome
     })
 }
 

@@ -60,8 +60,7 @@ pub use persist::{
     checkpoint_path, load_job_recovering, record_path, scan_records, JobRecord, JobState,
 };
 pub use profile::{
-    lint_profiles, parse_profiles, EngineChoice, FaultsRef, ProfileParseError, UserProfile,
-    DEMO_FLEET,
+    lint_profiles, parse_profiles, FaultsRef, ProfileParseError, UserProfile, DEMO_FLEET,
 };
 pub use proto::{
     derive_token, err_line, ok_block, ok_line, validate_token, Request, MAX_SUBMIT_LINES,

@@ -98,8 +98,8 @@ pub struct JobRecord {
     /// so a restarted daemon still answers a retried `SUBMIT` with the
     /// existing job id instead of double-scheduling.
     pub token: Option<String>,
-    /// The profile's canonical text ([`UserProfile::to_text`]
-    /// [crate::profile::UserProfile::to_text]).
+    /// The profile's canonical text
+    /// ([`UserProfile::to_text`](crate::UserProfile::to_text)).
     pub profile_text: String,
     /// The result block, once terminal (`None` before that).
     pub result: Option<String>,

@@ -42,58 +42,9 @@ use std::fmt;
 use std::str::SplitWhitespace;
 
 use hi_channel::ChannelParams;
-use hi_core::{Problem, RobustMode, SimProtocol};
+use hi_core::{Engine, Problem, RobustMode, SimProtocol};
 use hi_des::SimDuration;
 use hi_net::AppParams;
-
-/// Which search engine a profile's job runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// The paper's Algorithm 1 (MILP-guided exploration).
-    Algorithm1,
-    /// Exhaustive sweep of the whole feasible space.
-    Exhaustive,
-    /// The Γ-robust MILP counterpart (robustness in the formulation).
-    RobustMilp,
-    /// The ILP restriction-and-repair heuristic over the robust model.
-    IlpHeuristic,
-}
-
-impl EngineChoice {
-    /// The keyword used in profile files and result blocks.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineChoice::Algorithm1 => "algorithm1",
-            EngineChoice::Exhaustive => "exhaustive",
-            EngineChoice::RobustMilp => "robust-milp",
-            EngineChoice::IlpHeuristic => "ilp-heuristic",
-        }
-    }
-
-    /// Whether this engine consumes a Γ-robustness budget (`gamma`).
-    pub fn is_robust(self) -> bool {
-        matches!(self, EngineChoice::RobustMilp | EngineChoice::IlpHeuristic)
-    }
-
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "algorithm1" => Ok(EngineChoice::Algorithm1),
-            "exhaustive" => Ok(EngineChoice::Exhaustive),
-            "robust-milp" => Ok(EngineChoice::RobustMilp),
-            "ilp-heuristic" => Ok(EngineChoice::IlpHeuristic),
-            other => Err(format!(
-                "unknown engine `{other}` (expected `algorithm1`, `exhaustive`, \
-                 `robust-milp` or `ilp-heuristic`)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for EngineChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// An optional fault-suite reference: robustness as part of a profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,7 +56,8 @@ pub struct FaultsRef {
 }
 
 /// One fleet user: everything a job needs, parsed from one `profile`
-/// block. See the [module docs](self) for the grammar and defaults.
+/// block by [`parse_profiles`]; a bare block takes the defaults of
+/// [`UserProfile::named`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct UserProfile {
     /// The user id results are routed back under (may be empty — HL042).
@@ -120,13 +72,10 @@ pub struct UserProfile {
     pub packet_len_bytes: usize,
     /// Reliability floor `PDRmin`.
     pub pdr_min: f64,
-    /// Which search engine runs the job.
-    pub engine: EngineChoice,
-    /// The Γ-robustness budget. Only legal with a robust engine
-    /// (`robust-milp` / `ilp-heuristic`); the parser rejects it
-    /// elsewhere. `None` on a robust engine means the engine default
-    /// (Γ = 1).
-    pub gamma: Option<u32>,
+    /// Which search engine runs the job. A robust engine carries the
+    /// profile's `gamma` line, if any (the parser rejects `gamma` on the
+    /// other engines).
+    pub engine: Engine,
     /// Per-replication simulated duration, seconds.
     pub t_sim_secs: f64,
     /// Replications averaged per evaluation.
@@ -149,8 +98,7 @@ impl UserProfile {
             packets_per_second: 10.0,
             packet_len_bytes: 100,
             pdr_min: 0.9,
-            engine: EngineChoice::Algorithm1,
-            gamma: None,
+            engine: Engine::Algorithm1,
             t_sim_secs: 60.0,
             runs: 3,
             seed: 0xDAC_2017,
@@ -193,7 +141,7 @@ impl UserProfile {
     /// determine simulation results — the lowered channel, the protocol
     /// (duration, replications, seed), the traffic, and the fault suite's
     /// *content* and aggregation mode. Deliberately excluded: the profile
-    /// id, `pdr_min`, `engine` and `gamma`, which steer the *search* but
+    /// id, `pdr_min` and `engine` (Γ included), which steer the *search* but
     /// not any per-point evaluation — so two users who differ only there
     /// share every simulation through the fleet cache.
     pub fn eval_fingerprint(&self, suite_text: Option<&str>) -> u64 {
@@ -252,7 +200,7 @@ impl UserProfile {
         ));
         out.push_str(&format!("pdrmin {}\n", self.pdr_min));
         out.push_str(&format!("engine {}\n", self.engine));
-        if let Some(gamma) = self.gamma {
+        if let Some(gamma) = self.engine.gamma() {
             out.push_str(&format!("gamma {gamma}\n"));
         }
         out.push_str(&format!("tsim {}\n", self.t_sim_secs));
@@ -357,10 +305,10 @@ fn no_trailing(fields: &mut SplitWhitespace<'_>) -> Result<(), String> {
 /// [`ProfileParseError`] with a 1-based line number — never a panic.
 pub fn parse_profiles(text: &str) -> Result<Vec<UserProfile>, ProfileParseError> {
     let mut profiles: Vec<UserProfile> = Vec::new();
-    // `gamma` may legally precede the block's `engine` line, so the
-    // gamma-requires-a-robust-engine check runs after the whole file is
-    // read; this records where to point the error.
-    let mut gamma_lines: Vec<usize> = Vec::new();
+    // `gamma` may legally precede the block's `engine` line, so Γ joins
+    // the engine after the whole file is read; this records each block's
+    // Γ and the line to point an error at.
+    let mut gammas: Vec<Option<(usize, u32)>> = Vec::new();
     for (index, raw) in text.lines().enumerate() {
         let err = |message: String| ProfileParseError::Line {
             line: index + 1,
@@ -377,7 +325,7 @@ pub fn parse_profiles(text: &str) -> Result<Vec<UserProfile>, ProfileParseError>
             // an *empty* id is representable and HL042's problem).
             let id = line["profile".len()..].trim().to_string();
             profiles.push(UserProfile::named(id));
-            gamma_lines.push(0);
+            gammas.push(None);
             continue;
         }
         let current = profiles
@@ -410,7 +358,12 @@ pub fn parse_profiles(text: &str) -> Result<Vec<UserProfile>, ProfileParseError>
             }
             "engine" => {
                 let raw = field(&mut fields, "engine name").map_err(&err)?;
-                current.engine = EngineChoice::parse(raw).map_err(&err)?;
+                current.engine = Engine::parse(raw).ok_or_else(|| {
+                    err(format!(
+                        "unknown engine `{raw}` (expected `algorithm1`, `exhaustive`, \
+                         `robust-milp` or `ilp-heuristic`)"
+                    ))
+                })?;
             }
             "gamma" => {
                 let raw = field(&mut fields, "gamma budget").map_err(&err)?;
@@ -419,8 +372,7 @@ pub fn parse_profiles(text: &str) -> Result<Vec<UserProfile>, ProfileParseError>
                         "bad gamma budget `{raw}` (expected a non-negative integer)"
                     ))
                 })?;
-                current.gamma = Some(gamma);
-                *gamma_lines.last_mut().expect("current profile exists") = index + 1;
+                *gammas.last_mut().expect("current profile exists") = Some((index + 1, gamma));
             }
             "tsim" => {
                 let secs = finite_field(&mut fields, "simulated duration (s)").map_err(&err)?;
@@ -479,17 +431,20 @@ pub fn parse_profiles(text: &str) -> Result<Vec<UserProfile>, ProfileParseError>
     if profiles.is_empty() {
         return Err(ProfileParseError::NoProfile);
     }
-    for (profile, &line) in profiles.iter().zip(&gamma_lines) {
-        if profile.gamma.is_some() && !profile.engine.is_robust() {
-            return Err(ProfileParseError::Line {
-                line,
-                message: format!(
-                    "`gamma` requires a robust engine (`robust-milp` or \
+    for (profile, gamma) in profiles.iter_mut().zip(gammas) {
+        let Some((line, gamma)) = gamma else { continue };
+        profile.engine =
+            profile
+                .engine
+                .with_gamma(gamma)
+                .ok_or_else(|| ProfileParseError::Line {
+                    line,
+                    message: format!(
+                        "`gamma` requires a robust engine (`robust-milp` or \
                      `ilp-heuristic`), but the profile uses `{}`",
-                    profile.engine
-                ),
-            });
-        }
+                        profile.engine
+                    ),
+                })?;
     }
     Ok(profiles)
 }
@@ -533,7 +488,7 @@ mod tests {
         assert_eq!(fleet.len(), 4);
         assert_eq!(fleet[0].id, "alice");
         assert_eq!(fleet[1].pdr_min, 0.85);
-        assert_eq!(fleet[2].engine, EngineChoice::Exhaustive);
+        assert_eq!(fleet[2].engine, Engine::Exhaustive);
         assert_eq!(fleet[3].packets_per_second, 25.0);
         assert_eq!(fleet[3].packet_len_bytes, 64);
         assert!(lint_profiles(&fleet).is_clean());
@@ -555,8 +510,7 @@ mod tests {
         assert_eq!(reparsed, vec![robust]);
         // A Γ-robust profile round-trips through its `gamma` line too.
         let mut gamma = UserProfile::named("frank");
-        gamma.engine = EngineChoice::RobustMilp;
-        gamma.gamma = Some(3);
+        gamma.engine = Engine::RobustMilp { gamma: Some(3) };
         gamma.faults = Some(FaultsRef {
             path: "scenarios/demo.suite".into(),
             mode: RobustMode::WorstCase,
@@ -573,12 +527,34 @@ mod tests {
              profile b\nengine ilp-heuristic\n",
         )
         .unwrap();
-        assert_eq!(fleet[0].engine, EngineChoice::RobustMilp);
-        assert_eq!(fleet[0].gamma, Some(2));
-        assert_eq!(fleet[1].engine, EngineChoice::IlpHeuristic);
-        assert_eq!(fleet[1].gamma, None, "gamma defaults to the engine's");
-        assert!(EngineChoice::RobustMilp.is_robust());
-        assert!(!EngineChoice::Exhaustive.is_robust());
+        assert_eq!(fleet[0].engine, Engine::RobustMilp { gamma: Some(2) });
+        assert_eq!(
+            fleet[1].engine,
+            Engine::IlpHeuristic { gamma: None },
+            "gamma defaults to the engine's"
+        );
+        // ...and with no `gamma` line it persists without one.
+        assert!(
+            !fleet[1].to_text().contains("gamma"),
+            "{}",
+            fleet[1].to_text()
+        );
+        // The engine names are on disk (profiles, job records, checkpoint
+        // headers): each parses back from its label, and a rename would
+        // orphan every file that holds the old one.
+        let labels: Vec<&str> = Engine::ALL.iter().map(|e| e.label()).collect();
+        assert_eq!(
+            labels,
+            ["algorithm1", "exhaustive", "robust-milp", "ilp-heuristic"]
+        );
+        for engine in Engine::ALL {
+            assert_eq!(Engine::parse(engine.label()), Some(engine));
+            assert_eq!(engine.to_string(), engine.label());
+            if let Some(robust) = engine.with_gamma(2) {
+                assert_eq!(robust.label(), engine.label(), "Γ is not in the name");
+                assert_eq!(robust.gamma(), Some(2));
+            }
+        }
     }
 
     #[test]
@@ -626,15 +602,14 @@ mod tests {
         let base = UserProfile::named("a");
         let mut floor = UserProfile::named("b");
         floor.pdr_min = 0.5;
-        floor.engine = EngineChoice::Exhaustive;
+        floor.engine = Engine::Exhaustive;
         assert_eq!(
             base.eval_fingerprint(None),
             floor.eval_fingerprint(None),
             "id/floor/engine must not split the cache"
         );
         let mut robust = UserProfile::named("c");
-        robust.engine = EngineChoice::RobustMilp;
-        robust.gamma = Some(3);
+        robust.engine = Engine::RobustMilp { gamma: Some(3) };
         assert_eq!(
             base.eval_fingerprint(None),
             robust.eval_fingerprint(None),

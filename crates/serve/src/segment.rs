@@ -61,16 +61,16 @@ use hi_trace::wellknown as wk;
 /// scorecard, tagged with its design point.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CachedOutcome {
-    /// A fault-free evaluation from a [`SharedSimEvaluator`]
-    /// [hi_core::SharedSimEvaluator] stream.
+    /// A fault-free evaluation from a
+    /// [`SharedSimEvaluator`](hi_core::SharedSimEvaluator) stream.
     Nominal {
         /// The evaluated design point.
         point: DesignPoint,
         /// Its nominal evaluation.
         eval: Evaluation,
     },
-    /// A full fault-suite scorecard from a [`RobustEvaluator`]
-    /// [hi_core::RobustEvaluator] stream.
+    /// A full fault-suite scorecard from a
+    /// [`RobustEvaluator`](hi_core::RobustEvaluator) stream.
     Robust {
         /// The evaluated design point.
         point: DesignPoint,

@@ -37,7 +37,7 @@ use hi_trace::{wellknown as wk, Collector, MetricsRegistry};
 use crate::fleet::{f64_hex, render_result, run_profile, FleetCache, FleetEvaluator, RunPolicy};
 use crate::front::FrontStore;
 use crate::persist::{checkpoint_path, record_path, scan_records, JobRecord, JobState};
-use crate::profile::{lint_profiles, parse_profiles, EngineChoice, UserProfile};
+use crate::profile::{lint_profiles, parse_profiles, UserProfile};
 use crate::proto::{err_line, ok_block, ok_line, Request};
 use crate::segment::SegmentStore;
 
@@ -151,7 +151,8 @@ struct ArchiveEntry {
     offered: BTreeSet<u64>,
 }
 
-/// The daemon. See the [module docs](self) for the contracts.
+/// The daemon: the job queue, its crash-safe records and the shared
+/// evaluation cache behind the wire protocol ([`serve_connection`]).
 pub struct Server {
     config: ServeConfig,
     state: Mutex<State>,
@@ -337,9 +338,21 @@ impl Server {
         }
         // Validate suites at the door: a bad path or torn suite file
         // should bounce the submission, not fail the job an hour later.
+        // So should a robust profile whose Γ specification has an error
+        // finding (HL048), which `hi-opt explore` refuses too; a
+        // degenerate one runs as Algorithm 1.
         for profile in &profiles {
-            if profile.faults.is_some() {
-                load_suite(profile)?;
+            if profile.faults.is_none() {
+                continue;
+            }
+            let (_, suite, _) = load_suite(profile)?;
+            if let Some((spec, report)) = profile.engine.check_robustness(Some(&suite)) {
+                if !spec.is_degenerate() && report.has_errors() {
+                    return Err(format!(
+                        "submission rejected: profile `{}` robustness specification:\n{report}",
+                        profile.id
+                    ));
+                }
             }
         }
         let canonical: String = profiles.iter().map(UserProfile::to_text).collect();
@@ -807,8 +820,7 @@ impl Server {
         // Every checkpoint-capable engine resumes; the checkpoint header
         // records which engine wrote it, and the engines refuse a
         // mismatched file instead of silently continuing.
-        let resumes = profile.engine != EngineChoice::Exhaustive;
-        let resume = if resumes && ck_path.exists() {
+        let resume = if profile.engine.resumes() && ck_path.exists() {
             match store::load_recovering(&ck_path, load_checkpoint_file) {
                 Ok((checkpoint, fallback)) => {
                     if let Some(primary) = fallback {
@@ -1267,6 +1279,34 @@ mod tests {
             .submit("profile a\nfaults /no/such/file.suite worst\n")
             .unwrap_err();
         assert!(err.contains("cannot read fault suite"), "{err}");
+        let _ = std::fs::remove_dir_all(&config.state_dir);
+    }
+
+    #[test]
+    fn a_robust_profile_with_an_hl048_error_bounces() {
+        let config = quick_config("hl048");
+        let server = Server::new(config.clone()).unwrap();
+        let suite = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/demo.suite");
+        let robust = |gamma: u32| {
+            format!("{QUICK_PROFILE}engine robust-milp\ngamma {gamma}\nfaults {suite} worst\n")
+        };
+        // The demo suite protects 45 links, so Γ 100 is a configuration
+        // error: the submission bounces with `ERR`, as HL042 ones do.
+        let greedy = robust(100);
+        let out = drive(
+            &server,
+            &format!("SUBMIT {}\n{greedy}", greedy.lines().count()),
+        );
+        assert!(
+            out.starts_with("ERR submission rejected: profile `alice`"),
+            "{out}"
+        );
+        assert!(out.contains("HL048"), "{out}");
+        assert_eq!(server.status(1), None, "a bounced profile gets no job");
+        // Γ within the protected links is admitted, and Γ 0 (degenerate:
+        // the job runs Algorithm 1) is admitted too.
+        assert_eq!(server.submit(&robust(2)).unwrap(), vec![1]);
+        assert_eq!(server.submit(&robust(0)).unwrap(), vec![2]);
         let _ = std::fs::remove_dir_all(&config.state_dir);
     }
 

@@ -39,12 +39,12 @@ fn error_types_behave() {
     assert_error::<SolveError>();
     assert_error::<hi_opt::net::ConfigError>();
     assert_error::<hi_opt::ExploreError>();
-    assert_error::<hi_opt::channel::csv::ParseMatrixError>();
+    assert_error::<hi_opt::serve::ProfileParseError>();
     // Display messages: lowercase, no trailing period (C-GOOD-ERR style).
     let messages = [
         SolveError::MissingObjective.to_string(),
         hi_opt::net::ConfigError::TooFewNodes.to_string(),
-        hi_opt::channel::csv::ParseMatrixError::WrongRowCount(2).to_string(),
+        hi_opt::serve::ProfileParseError::NoProfile.to_string(),
     ];
     for m in messages {
         assert!(m.starts_with(char::is_lowercase), "{m}");
