@@ -45,6 +45,14 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
     --workload robust --seed 1 --seconds 0.001 --trace 0 2> /dev/null \
     | tail -n 1 | grep -q '"correct": true'
+# `ladder` and `fleet_warm` run traced: a traced repetition must do the
+# same work as a plain one, so a `milp.pivots` count that differs between
+# the two fails here rather than in a benchmark run.
+for workload in ladder fleet_warm; do
+    cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0.001 --trace 1 2> /dev/null \
+        | tail -n 1 | grep -q '"correct": true'
+done
 
 # Concurrency-verification gates. The hi-check mutant self-test (also in
 # the workspace run above, kept explicit here as the named gate): every

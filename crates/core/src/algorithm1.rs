@@ -225,8 +225,26 @@ pub fn explore<P: PointEvaluator>(
     resume: Option<&ExploreCheckpoint>,
     observer: &mut dyn FnMut(&ExploreCheckpoint),
 ) -> Result<ExplorationOutcome, ExploreError> {
+    let encoding = MilpEncoding::new(problem.space.constraints(), &problem.app);
+    explore_from(
+        encoding, problem, evaluator, options, exec, resume, observer,
+    )
+}
+
+/// [`explore`] from `encoding`: the encoding of `problem`'s `P̃` with no
+/// cuts, fresh or a clone of a stream's root-solved one
+/// ([`MilpRoot`](crate::MilpRoot)). Both give the same outcome bit for
+/// bit; a root-solved encoding skips the build and the cold root solve.
+pub(crate) fn explore_from<P: PointEvaluator>(
+    mut encoding: MilpEncoding,
+    problem: &Problem,
+    evaluator: &P,
+    options: ExploreOptions,
+    exec: &ExecContext,
+    resume: Option<&ExploreCheckpoint>,
+    observer: &mut dyn FnMut(&ExploreCheckpoint),
+) -> Result<ExplorationOutcome, ExploreError> {
     validate_resume(resume, Engine::Algorithm1, problem, options)?;
-    let mut encoding = MilpEncoding::new(problem.space.constraints(), &problem.app);
     let mut cuts: Vec<f64> = Vec::new();
     let mut best: Option<(DesignPoint, Evaluation)> = None;
     let mut p_min = f64::INFINITY; // P̄min: best simulated power so far
@@ -509,6 +527,75 @@ mod tests {
             got.nlt_days,
             best_nlt
         );
+    }
+
+    /// Runs Algorithm 1 through [`Engine::run`], from `root` when given.
+    fn run_engine(
+        problem: &Problem,
+        root: Option<&crate::MilpRoot>,
+        options: ExploreOptions,
+        resume: Option<&ExploreCheckpoint>,
+        observer: &mut dyn FnMut(&ExploreCheckpoint),
+    ) -> ExplorationOutcome {
+        Engine::Algorithm1
+            .run(
+                problem,
+                &FnEvaluator::new(ladder_oracle),
+                None,
+                root,
+                &ExecContext::sequential(),
+                options,
+                resume,
+                observer,
+            )
+            .unwrap()
+            .outcome
+    }
+
+    /// Everything but the simulation count, floats as bits.
+    fn outcome_bits(out: &ExplorationOutcome) -> String {
+        let best = out.best.map(|(pt, ev)| {
+            format!(
+                "{pt} {:x} {:x} {:x} {:x}",
+                ev.pdr.to_bits(),
+                ev.nlt_days.to_bits(),
+                ev.power_mw.to_bits(),
+                ev.latency_ms.to_bits()
+            )
+        });
+        let cuts: Vec<u64> = out.cuts.iter().map(|c| c.to_bits()).collect();
+        format!(
+            "{best:?} {} {} {cuts:x?} {:?}",
+            out.iterations, out.candidates_proposed, out.stop_reason
+        )
+    }
+
+    #[test]
+    fn a_stream_root_explores_bit_for_bit_like_a_fresh_encoding() {
+        // One root serves every floor, as one stream serves every job.
+        let root = crate::MilpRoot::default();
+        for step in 0..10 {
+            let problem = Problem::paper_default(0.50 + 0.05 * f64::from(step));
+            let options = ExploreOptions {
+                checkpoint_every: Some(1),
+                ..ExploreOptions::default()
+            };
+            let mut checkpoints = Vec::new();
+            let fresh = run_engine(&problem, None, options, None, &mut |cp| {
+                checkpoints.push(cp.clone())
+            });
+            let rooted = run_engine(&problem, Some(&root), options, None, &mut |_| ());
+            assert_eq!(outcome_bits(&fresh), outcome_bits(&rooted), "{problem:?}");
+            assert!(!checkpoints.is_empty());
+            // Resuming from any checkpoint replays its cuts onto a clone
+            // of the solved root and ends where the straight run did.
+            for cp in &checkpoints {
+                let resumed = run_engine(&problem, Some(&root), options, Some(cp), &mut |_| ());
+                let cold = run_engine(&problem, None, options, Some(cp), &mut |_| ());
+                assert_eq!(outcome_bits(&resumed), outcome_bits(&fresh), "{cp:?}");
+                assert_eq!(outcome_bits(&cold), outcome_bits(&fresh), "{cp:?}");
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! [`Engine`] is what `hi-opt explore --engine` and a `hi-serve`
 //! profile's `engine` line parse into, and its [label](Engine::label) is
 //! the name a checkpoint header records. [`Engine::run`] dispatches to
-//! the four searches — Algorithm 1 ([`explore`]), the exhaustive sweep
-//! ([`exhaustive_search`]), the Γ-robust MILP ([`robust_milp_search`])
-//! and the ILP heuristic ([`ilp_heuristic_search`]) — and returns one
+//! the four searches — Algorithm 1 ([`explore`](crate::explore)), the
+//! exhaustive sweep ([`exhaustive_search`]), the Γ-robust MILP
+//! ([`robust_milp_search`]) and the ILP heuristic
+//! ([`ilp_heuristic_search`]) — and returns one
 //! [`EngineOutcome`] for all of them. Before a robust run,
 //! [`Engine::check_robustness`] derives the Γ-robustness specification
 //! from the fault suite and lints it (HL048/HL049).
@@ -16,12 +17,13 @@ use std::fmt;
 use hi_lint::{lint_robustness, Report, RobustnessLintSpec};
 
 use crate::algorithm1::{
-    explore, ExplorationOutcome, ExploreError, ExploreOptions, Problem, StopReason,
+    explore_from, ExplorationOutcome, ExploreError, ExploreOptions, Problem, StopReason,
 };
 use crate::checkpoint::ExploreCheckpoint;
 use crate::evaluator::PointEvaluator;
 use crate::exhaustive::exhaustive_search;
 use crate::ilp_heuristic::ilp_heuristic_search;
+use crate::milp_encode::{MilpEncoding, MilpRoot};
 use crate::parallel::ExecContext;
 use crate::robust::FaultSuite;
 use crate::robust_milp::robust_milp_search;
@@ -137,9 +139,12 @@ impl Engine {
     ///
     /// `spec` is the robust engines' specification; a robust engine with
     /// no specification or a degenerate one runs Algorithm 1 bit for
-    /// bit, and the nominal engines ignore it. `resume` and `observer`
-    /// serve the engines that [resume](Self::resumes); the exhaustive
-    /// sweep ignores them and `options`.
+    /// bit, and the nominal engines ignore it. Algorithm 1 starts from a
+    /// clone of `root`'s solved encoding when there is one, and from a
+    /// fresh encoding otherwise, with the same outcome bit for bit.
+    /// `resume` and `observer` serve the engines that
+    /// [resume](Self::resumes); the exhaustive sweep ignores them and
+    /// `options`.
     ///
     /// # Errors
     ///
@@ -152,6 +157,7 @@ impl Engine {
         problem: &Problem,
         evaluator: &P,
         spec: Option<&RobustnessSpec>,
+        root: Option<&MilpRoot>,
         exec: &ExecContext,
         options: ExploreOptions,
         resume: Option<&ExploreCheckpoint>,
@@ -194,11 +200,17 @@ impl Engine {
             }
             // Algorithm 1, and a robust engine with nothing to price: the
             // robust searches would delegate to it bit for bit anyway.
-            _ => (
-                explore(problem, evaluator, options, exec, resume, observer)?,
-                None,
-                None,
-            ),
+            _ => {
+                let (constraints, app) = (problem.space.constraints(), &problem.app);
+                let encoding = match root {
+                    Some(root) => root.encoding(constraints, app)?,
+                    None => MilpEncoding::new(constraints, app),
+                };
+                let outcome = explore_from(
+                    encoding, problem, evaluator, options, exec, resume, observer,
+                )?;
+                (outcome, None, None)
+            }
         };
         Ok(EngineOutcome {
             outcome,

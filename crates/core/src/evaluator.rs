@@ -7,6 +7,7 @@ use hi_des::SimDuration;
 use hi_exec::{EvalCache, EvalError};
 use hi_net::{simulate_averaged_budgeted, AppParams, SimError};
 
+use crate::milp_encode::MilpRoot;
 use crate::point::DesignPoint;
 
 /// The simulated performance of one design point.
@@ -179,10 +180,14 @@ fn try_simulate_point(
 /// of the thread count, and the per-point seed derivation (certified by
 /// `sim_evaluator_is_order_independent`) keeps every `Evaluation`
 /// independent of evaluation order.
+///
+/// Clones also share one [`MilpRoot`]: the root-solved Algorithm-1
+/// encoding that every job on this stream starts from.
 #[derive(Debug, Clone)]
 pub struct SharedSimEvaluator {
     protocol: SimProtocol,
     cache: Arc<EvalCache<DesignPoint, Result<Evaluation, EvalError>>>,
+    root: MilpRoot,
 }
 
 impl SharedSimEvaluator {
@@ -191,7 +196,13 @@ impl SharedSimEvaluator {
         Self {
             protocol,
             cache: Arc::new(EvalCache::new()),
+            root: MilpRoot::default(),
         }
+    }
+
+    /// The root-solved Algorithm-1 encoding this stream's jobs share.
+    pub fn milp_root(&self) -> &MilpRoot {
+        &self.root
     }
 
     /// The protocol this evaluator runs.

@@ -87,7 +87,7 @@ pub use evaluator::{Evaluation, FnEvaluator, PointEvaluator, SharedSimEvaluator,
 pub use exhaustive::{exhaustive_search, ExhaustiveOutcome};
 pub use hi_exec::{CancelToken, ChaosPolicy, EvalError, RetryPolicy, Supervisor};
 pub use ilp_heuristic::ilp_heuristic_search;
-pub use milp_encode::MilpEncoding;
+pub use milp_encode::{MilpEncoding, MilpRoot};
 pub use parallel::ExecContext;
 pub use point::{DesignPoint, MacChoice, Placement, RouteChoice};
 pub use profiles::AppProfile;

@@ -16,6 +16,8 @@
 //! the routing choice and an `N`-dependent factor) becomes the linear form
 //! `Σ cost(N, k, r) · z_{N,k,r}` over the 18-combination lattice.
 
+use std::sync::{Arc, Mutex};
+
 use hi_lint::{CutTracker, Finding, Report};
 use hi_milp::{LinExpr, Model, Sense, Solution, SolveError, VarId, WarmModel};
 use hi_net::{AppParams, TxPower};
@@ -48,8 +50,9 @@ pub struct MilpEncoding {
     robust_objective: Option<LinExpr>,
     /// The product lattice: `(analytic power incl. baseline, z var)`.
     z_vars: Vec<(f64, VarId)>,
-    /// Kept for expanding the optimal solution into the full pool.
-    constraints: TopologyConstraints,
+    /// The feasible placements grouped by node count (index = count),
+    /// each group in mask order: what expands an optimum into its pool.
+    placements: Vec<Vec<Placement>>,
     /// Fingerprints of the Algorithm-1 cuts added so far, so a cut that
     /// is no tighter than an earlier one is flagged instead of silently
     /// bloating every subsequent solve.
@@ -62,6 +65,7 @@ impl MilpEncoding {
     /// Encodes `P̃` for the given topological constraints and application
     /// parameters.
     pub fn new(constraints: &TopologyConstraints, app: &AppParams) -> Self {
+        let _span = hi_trace::span("milp.encoding_build");
         let mut model = Model::new();
 
         let site_vars: Vec<VarId> = (0..10)
@@ -150,6 +154,15 @@ impl MilpEncoding {
         model.add_constraint(z_sum, Sense::Eq, 1.0);
         model.minimize(objective_mw.clone());
 
+        let mut placements: Vec<Vec<Placement>> = Vec::new();
+        for placement in constraints.feasible_placements() {
+            let n = placement.len();
+            if placements.len() <= n {
+                placements.resize(n + 1, Vec::new());
+            }
+            placements[n].push(placement);
+        }
+
         Self {
             model: WarmModel::new(model),
             site_vars,
@@ -159,7 +172,7 @@ impl MilpEncoding {
             objective_mw,
             robust_objective: None,
             z_vars,
-            constraints: constraints.clone(),
+            placements,
             cut_tracker: CutTracker::new(),
             cut_findings: Vec::new(),
         }
@@ -383,21 +396,18 @@ impl MilpEncoding {
             .map(|&(cost, _)| cost)
             .expect("exactly one lattice cell must be selected");
         let witness = self.decode(&sol);
-        let n = witness.num_nodes();
-        let mut points = Vec::new();
-        for placement in self.constraints.feasible_placements() {
-            if placement.len() != n {
-                continue;
-            }
-            for mac in MacChoice::ALL {
-                points.push(DesignPoint {
+        let _span = hi_trace::span("milp.pool_expand");
+        let points: Vec<DesignPoint> = self.placements[witness.num_nodes()]
+            .iter()
+            .flat_map(|&placement| {
+                MacChoice::ALL.map(|mac| DesignPoint {
                     placement,
                     tx_power: witness.tx_power,
                     mac,
                     routing: witness.routing,
-                });
-            }
-        }
+                })
+            })
+            .collect();
         debug_assert!(points.contains(&witness));
         Ok((points, Some(p_star)))
     }
@@ -435,10 +445,66 @@ impl MilpEncoding {
         }
     }
 
+    /// Solves the root LP relaxation and keeps its tableau
+    /// ([`WarmModel::solve_root`]), so that the first
+    /// [`solve_pool`](MilpEncoding::solve_pool) of this encoding or of
+    /// a clone reoptimizes it instead of starting from phase 1.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver failures.
+    pub(crate) fn solve_root(&mut self) -> Result<(), SolveError> {
+        self.model.solve_root()
+    }
+
     /// Read-only access to the underlying MILP model (for inspection and
     /// benchmarking).
     pub fn model(&self) -> &Model {
         self.model.model()
+    }
+}
+
+/// A stream's root-solved Algorithm-1 encoding, shared by clones.
+///
+/// Algorithm 1's cut ladder depends only on the design space and the
+/// application parameters; `PDRmin` decides only where it stops. Jobs
+/// that share both can therefore start from one encoding whose root LP
+/// is already solved ([`WarmModel::solve_root`]) instead of building
+/// the model and solving its root again. The slot holds one encoding,
+/// keyed by `(constraints, app)`; a job with another key replaces it.
+/// [`Engine::run`](crate::Engine::run) takes one for Algorithm 1, and
+/// every [`SharedSimEvaluator`](crate::SharedSimEvaluator) carries one.
+#[derive(Debug, Clone, Default)]
+pub struct MilpRoot {
+    slot: Arc<Mutex<Option<RootEntry>>>,
+}
+
+type RootEntry = (TopologyConstraints, AppParams, MilpEncoding);
+
+impl MilpRoot {
+    /// A clone of the root-solved encoding of `P̃` for `constraints`
+    /// and `app`, built and root-solved on the first call with this key.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failure of the root solve.
+    pub(crate) fn encoding(
+        &self,
+        constraints: &TopologyConstraints,
+        app: &AppParams,
+    ) -> Result<MilpEncoding, SolveError> {
+        let mut slot = self.slot.lock().expect("milp root poisoned");
+        let hit = slot
+            .as_ref()
+            .is_some_and(|(c, a, _)| c == constraints && a == app);
+        if !hit {
+            let mut root = MilpEncoding::new(constraints, app);
+            root.solve_root()?;
+            *slot = Some((constraints.clone(), *app, root));
+        }
+        let (_, _, root) = slot.as_ref().expect("the slot was just filled");
+        let _span = hi_trace::span("milp.encoding_clone");
+        Ok(root.clone())
     }
 }
 

@@ -743,6 +743,7 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
             &problem,
             &evaluator,
             spec.as_ref(),
+            None,
             &exec,
             options,
             prior.as_ref(),
@@ -1323,31 +1324,25 @@ fn cmd_lint(args: &[String]) -> Result<(), CliError> {
     total.merge(report);
 
     // 12. The Gamma-robustness specification (HL048/HL049): first the
-    //     shape a robust engine derives from the demo fault suite (45
-    //     protected links, burst- and cap-level deviation bounds), then
-    //     — deliberately in its firing state, like the FRONT query above
-    //     — a robust engine pointed at no suite at all, whose silent
-    //     degeneration to the nominal engine is a warning, never an
-    //     error.
-    let report = hi_opt::lint::lint_robustness(&hi_opt::lint::RobustnessLintSpec {
-        gamma: 2,
-        protected_links: 45,
-        deviation_bounds: vec![9.0, 40.0],
-        robust_engine: true,
-        suite_scenarios: 3,
-    });
-    print_lint_section("robustness spec (demo suite, gamma 2)", &report);
-    total.merge(report);
-
-    let report = hi_opt::lint::lint_robustness(&hi_opt::lint::RobustnessLintSpec {
-        gamma: 1,
-        protected_links: 0,
-        deviation_bounds: vec![],
-        robust_engine: true,
-        suite_scenarios: 0,
-    });
-    print_lint_section("robust engine without a fault suite", &report);
-    total.merge(report);
+    //     shape a robust engine derives from the demo fault suite,
+    //     through the same `Engine::check_robustness` step as `explore`
+    //     and the daemon, then — deliberately in its firing state, like
+    //     the FRONT query above — a robust engine pointed at no suite at
+    //     all, whose silent degeneration to the nominal engine is a
+    //     warning, never an error.
+    let (demo, _) = parse_fault_suite(include_str!("../../../../scenarios/demo.suite"))
+        .map_err(|e| format!("scenarios/demo.suite: {e:?}"))?;
+    for (title, gamma, suite) in [
+        ("robustness spec (demo suite, gamma 2)", 2, Some(&demo)),
+        ("robust engine without a fault suite", 1, None),
+    ] {
+        let engine = Engine::RobustMilp { gamma: Some(gamma) };
+        let (_, report) = engine
+            .check_robustness(suite)
+            .expect("a robust engine has a specification");
+        print_lint_section(title, &report);
+        total.merge(report);
+    }
 
     println!();
     println!(

@@ -95,6 +95,23 @@ impl WarmModel {
         }
     }
 
+    /// Solves the root LP relaxation cold and keeps its tableau, without
+    /// branching, so that the next [`solve`](WarmModel::solve) (of this
+    /// model or of a clone) starts from it. Counts the pivots but no
+    /// solve; a no-op when a tableau is already kept. An infeasible or
+    /// unbounded root keeps none, and the next solve runs cold.
+    ///
+    /// # Errors
+    ///
+    /// As [`Model::solve`], with the same verdict on a malformed model.
+    pub fn solve_root(&mut self) -> Result<(), SolveError> {
+        if self.root.is_none() {
+            self.model.gate()?;
+            self.root = WarmLp::solve(&self.model)?.1;
+        }
+        Ok(())
+    }
+
     /// Solves the model exactly, reoptimizing the kept root relaxation
     /// when there is one.
     ///

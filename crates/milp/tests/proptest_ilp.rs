@@ -303,3 +303,29 @@ fn warm_model_matches_cold_solves_across_edits() {
         }
     });
 }
+
+#[test]
+fn a_root_solved_clone_solves_bit_for_bit_like_the_original() {
+    run_cases(300, 0x11_9006, |g| {
+        let inst = any_instance(g);
+        let (m, vars) = build_model(&inst);
+        let mut fresh = WarmModel::new(m);
+        let mut rooted = fresh.clone();
+        rooted.solve_root().unwrap();
+        let mut clone = rooted.clone();
+        for step in 0..4 {
+            let (f, c) = (fresh.solve().unwrap(), clone.solve().unwrap());
+            assert_eq!(f.status(), c.status(), "step {step}");
+            if f.is_optimal() {
+                let bits = |s: &hi_milp::Solution| -> Vec<u64> {
+                    s.values().iter().map(|x| x.to_bits()).collect()
+                };
+                assert_eq!(bits(&f), bits(&c), "step {step}");
+                assert_eq!(f.objective().to_bits(), c.objective().to_bits());
+            }
+            let (e, sense, rhs) = any_row(g, &vars);
+            fresh.add_constraint(e.clone(), sense, rhs);
+            clone.add_constraint(e, sense, rhs);
+        }
+    });
+}

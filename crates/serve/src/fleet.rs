@@ -178,6 +178,12 @@ impl FleetCache {
         map.entry(key).or_insert_with(build).clone()
     }
 
+    /// The stream keyed `key`, if a job has touched it this lifetime.
+    pub(crate) fn stream(&self, key: u64) -> Option<FleetEvaluator> {
+        let map = self.evaluators.lock().expect("fleet pool poisoned");
+        map.get(&key).cloned()
+    }
+
     /// Every stream in the pool with its key — cheap clones sharing the
     /// live caches — for the drain-time segment flush.
     pub fn streams(&self) -> Vec<(u64, FleetEvaluator)> {
@@ -269,9 +275,11 @@ pub fn run_profile(
     // A robust job's deviation bounds come from its stream's fault
     // suite; a nominal stream (no `faults` line) yields a degenerate
     // specification, so the job runs Algorithm 1 bit for bit.
-    let suite = match evaluator {
-        FleetEvaluator::Robust(e) => Some(e.suite()),
-        FleetEvaluator::Nominal(_) => None,
+    // A nominal stream also holds the root-solved MILP encoding its
+    // Algorithm-1 jobs start from.
+    let (suite, root) = match evaluator {
+        FleetEvaluator::Robust(e) => (Some(e.suite()), None),
+        FleetEvaluator::Nominal(e) => (None, Some(e.milp_root())),
     };
     let spec = profile.engine.robustness(suite);
     let options = ExploreOptions {
@@ -284,6 +292,7 @@ pub fn run_profile(
             &profile.problem(),
             &supervised,
             spec.as_ref(),
+            root,
             exec,
             options,
             resume,
@@ -409,6 +418,50 @@ mod tests {
                 .filter(|l| !l.starts_with("simulations") && !l.starts_with("candidates"))
                 .collect::<Vec<_>>(),
         );
+    }
+
+    #[test]
+    fn fresh_streams_record_equal_pivots_and_a_warm_stream_fewer() {
+        use hi_trace::{wellknown as wk, Collector};
+        let profile = quick("p");
+        let policy = RunPolicy {
+            checkpoint_every: None,
+            ..RunPolicy::default()
+        };
+        // Pivots one job records on `evaluator`, and its result block.
+        let job = |evaluator: &FleetEvaluator| {
+            let collector = Collector::metrics_only();
+            let registry = collector.registry().expect("metrics-only has a registry");
+            let _installed = collector.install(0, 0);
+            let exec = ExecContext::sequential();
+            let outcome = run_profile(&profile, evaluator, &exec, policy, None, &mut |_| {})
+                .expect("the job runs");
+            (
+                registry.counter_value(wk::MILP_PIVOTS),
+                render_result(&profile, &outcome),
+            )
+        };
+        let fresh = || FleetEvaluator::Nominal(profile.protocol().shared_evaluator());
+        let (a, b) = (fresh(), fresh());
+        let (pivots_a, result_a) = job(&a);
+        let (pivots_b, result_b) = job(&b);
+        assert!(pivots_a > 0);
+        assert_eq!(
+            pivots_a, pivots_b,
+            "a fresh stream's first job is deterministic"
+        );
+        assert_eq!(result_a, result_b);
+        // The second job on a stream starts from its solved root.
+        let (warm_pivots, warm_result) = job(&a);
+        assert!(warm_pivots < pivots_a, "{warm_pivots} >= {pivots_a}");
+        let designs = |block: &str| -> Vec<String> {
+            block
+                .lines()
+                .filter(|l| !l.starts_with("simulations"))
+                .map(str::to_string)
+                .collect()
+        };
+        assert_eq!(designs(&warm_result), designs(&result_a));
     }
 
     #[test]

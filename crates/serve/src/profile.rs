@@ -49,7 +49,8 @@ use hi_net::AppParams;
 /// An optional fault-suite reference: robustness as part of a profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultsRef {
-    /// Path to the suite file, resolved by the daemon at run time.
+    /// Path to the suite file, read by the daemon at submit and again
+    /// when it restarts.
     pub path: String,
     /// How scenario evaluations aggregate into one score.
     pub mode: RobustMode,

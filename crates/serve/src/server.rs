@@ -29,9 +29,9 @@ use std::time::Instant;
 
 use hi_core::{
     load_checkpoint_file, parse_fault_suite, store, warmup_events_floor, CancelToken, ChaosPolicy,
-    ExecContext, FaultSuite, RobustEvaluator, RobustMode, StopReason, SuiteParseError,
+    ExecContext, FaultSuite, RobustEvaluator, StopReason, SuiteParseError,
 };
-use hi_pareto::{ArchiveConfig, InsertOutcome, ParetoArchive};
+use hi_pareto::{ArchiveConfig, FrontPoint, InsertOutcome, ParetoArchive};
 use hi_trace::{wellknown as wk, Collector, MetricsRegistry};
 
 use crate::fleet::{f64_hex, render_result, run_profile, FleetCache, FleetEvaluator, RunPolicy};
@@ -124,6 +124,10 @@ impl ServeConfig {
 struct JobEntry {
     record: JobRecord,
     profile: UserProfile,
+    /// The job's evaluator stream, derived once at submit (or at
+    /// restart), or why it could not be: a robust job whose suite fails
+    /// to load fails with that error when it runs.
+    stream: Result<JobStream, String>,
     progress: Vec<String>,
     cancel: Option<CancelToken>,
     cancel_requested: bool,
@@ -141,6 +145,31 @@ struct State {
     tokens: BTreeMap<String, Vec<u64>>,
 }
 
+/// A job's evaluator stream: the fleet key its evaluations share and,
+/// for a robust profile, the fault suite read, parsed and linted once.
+#[derive(Clone)]
+struct JobStream {
+    key: u64,
+    suite: Option<Arc<FaultSuite>>,
+}
+
+impl JobStream {
+    /// Derives `profile`'s stream, loading its fault suite if it has one.
+    fn derive(profile: &UserProfile) -> Result<Self, String> {
+        if profile.faults.is_none() {
+            return Ok(Self {
+                key: profile.eval_fingerprint(None),
+                suite: None,
+            });
+        }
+        let (text, suite) = load_suite(profile)?;
+        Ok(Self {
+            key: profile.eval_fingerprint(Some(&text)),
+            suite: Some(Arc::new(suite)),
+        })
+    }
+}
+
 /// One evaluator stream's in-memory Pareto archive, plus the set of
 /// fingerprints already offered to it. Re-offering is harmless for the
 /// front itself (a fingerprint determines its evaluation), but skipping
@@ -149,6 +178,72 @@ struct State {
 struct ArchiveEntry {
     archive: ParetoArchive,
     offered: BTreeSet<u64>,
+    /// The `point` rows of the `FRONT` block, rendered whenever the
+    /// archive changes, so a query only copies them.
+    rows: String,
+}
+
+impl ArchiveEntry {
+    /// An archive holding `points` (a stream's hydrated front), all
+    /// marked offered.
+    fn hydrate(points: Vec<FrontPoint>) -> Self {
+        let mut entry = ArchiveEntry {
+            archive: ParetoArchive::new(ArchiveConfig::default()),
+            offered: BTreeSet::new(),
+            rows: String::new(),
+        };
+        for point in points {
+            entry.offered.insert(point.fingerprint);
+            entry.archive.insert(point);
+        }
+        entry.render();
+        entry
+    }
+
+    /// Offers `points`, skipping fingerprints offered before; returns
+    /// (inserted, dominated) and re-renders the rows if any landed.
+    fn offer(&mut self, points: Vec<FrontPoint>) -> (u64, u64) {
+        let (mut inserts, mut dominated) = (0, 0);
+        for point in points {
+            if !self.offered.insert(point.fingerprint) {
+                continue;
+            }
+            match self.archive.insert(point) {
+                InsertOutcome::Added { .. } => inserts += 1,
+                InsertOutcome::Dominated => dominated += 1,
+            }
+        }
+        if inserts > 0 {
+            self.render();
+        }
+        (inserts, dominated)
+    }
+
+    fn render(&mut self) {
+        let _span = hi_trace::span("serve.front_render");
+        self.rows = render_front_rows(self.archive.iter());
+    }
+}
+
+/// One `point` row per front member — floats as exact bits next to a
+/// rounded decimal, like result blocks.
+fn render_front_rows<'a>(front: impl Iterator<Item = &'a FrontPoint>) -> String {
+    let mut out = String::new();
+    for point in front {
+        out.push_str(&format!(
+            "point {:016x} pdr {} {:.4} power_mw {} {:.3} latency_ms {} {:.3} nlt_days {} {:.2}\n",
+            point.fingerprint,
+            f64_hex(point.pdr),
+            point.pdr,
+            f64_hex(point.power_mw),
+            point.power_mw,
+            f64_hex(point.latency_ms),
+            point.latency_ms,
+            f64_hex(point.nlt_days),
+            point.nlt_days,
+        ));
+    }
+    out
 }
 
 /// The daemon: the job queue, its crash-safe records and the shared
@@ -251,6 +346,7 @@ impl Server {
                 }
             };
             next_id = next_id.max(record.id + 1);
+            let stream = JobStream::derive(&profile);
             if !record.state.is_terminal() {
                 queue.push_back(record.id);
             }
@@ -264,6 +360,7 @@ impl Server {
                 JobEntry {
                     record,
                     profile,
+                    stream,
                     progress: Vec::new(),
                     cancel: None,
                     cancel_requested: false,
@@ -341,12 +438,14 @@ impl Server {
         // So should a robust profile whose Γ specification has an error
         // finding (HL048), which `hi-opt explore` refuses too; a
         // degenerate one runs as Algorithm 1.
+        let mut streams = Vec::with_capacity(profiles.len());
         for profile in &profiles {
-            if profile.faults.is_none() {
-                continue;
-            }
-            let (_, suite, _) = load_suite(profile)?;
-            if let Some((spec, report)) = profile.engine.check_robustness(Some(&suite)) {
+            let stream = JobStream::derive(profile)?;
+            let checked = stream
+                .suite
+                .as_deref()
+                .and_then(|suite| profile.engine.check_robustness(Some(suite)));
+            if let Some((spec, report)) = checked {
                 if !spec.is_degenerate() && report.has_errors() {
                     return Err(format!(
                         "submission rejected: profile `{}` robustness specification:\n{report}",
@@ -354,6 +453,7 @@ impl Server {
                     ));
                 }
             }
+            streams.push(stream);
         }
         let canonical: String = profiles.iter().map(UserProfile::to_text).collect();
         let mut state = self.state.lock().expect("server state poisoned");
@@ -389,7 +489,7 @@ impl Server {
             ));
         }
         let mut ids = Vec::with_capacity(profiles.len());
-        for profile in profiles {
+        for (profile, stream) in profiles.into_iter().zip(streams) {
             let id = state.next_id;
             state.next_id += 1;
             let record = JobRecord {
@@ -409,6 +509,7 @@ impl Server {
                 JobEntry {
                     record,
                     profile,
+                    stream: Ok(stream),
                     progress: Vec::new(),
                     cancel: None,
                     cancel_requested: false,
@@ -531,17 +632,9 @@ impl Server {
     /// later, better one had displaced after it was logged.
     fn with_archive<R>(&self, key: u64, f: impl FnOnce(&mut ArchiveEntry) -> R) -> R {
         let mut archives = self.archives.lock().expect("archive table poisoned");
-        let entry = archives.entry(key).or_insert_with(|| {
-            let mut entry = ArchiveEntry {
-                archive: ParetoArchive::new(ArchiveConfig::default()),
-                offered: BTreeSet::new(),
-            };
-            for point in self.fronts.hydrate(key) {
-                entry.offered.insert(point.fingerprint);
-                entry.archive.insert(point);
-            }
-            entry
-        });
+        let entry = archives
+            .entry(key)
+            .or_insert_with(|| ArchiveEntry::hydrate(self.fronts.hydrate(key)));
         f(entry)
     }
 
@@ -552,17 +645,7 @@ impl Server {
     /// crash-consistency discipline as the cache itself.
     fn settle_front(&self, key: u64, evaluator: &FleetEvaluator) {
         let front = self.with_archive(key, |entry| {
-            let mut inserts = 0u64;
-            let mut dominated = 0u64;
-            for point in evaluator.export_front_points() {
-                if !entry.offered.insert(point.fingerprint) {
-                    continue;
-                }
-                match entry.archive.insert(point) {
-                    InsertOutcome::Added { .. } => inserts += 1,
-                    InsertOutcome::Dominated => dominated += 1,
-                }
-            }
+            let (inserts, dominated) = entry.offer(evaluator.export_front_points());
             let registry = self.registry();
             registry.add(wk::SERVE_PARETO_INSERTS, inserts);
             registry.add(wk::SERVE_PARETO_DOMINATED, dominated);
@@ -581,45 +664,26 @@ impl Server {
     /// is byte-stable across restarts and thread counts. An empty front
     /// on a daemon that has completed no job earns the HL047 advisory.
     pub fn front_block(&self, id: u64) -> Result<String, String> {
-        let profile = {
+        let _span = hi_trace::span("serve.front");
+        let key = {
             let state = self.state.lock().expect("server state poisoned");
-            state
+            let entry = state
                 .jobs
                 .get(&id)
-                .map(|entry| entry.profile.clone())
-                .ok_or_else(|| format!("unknown job {id}"))?
+                .ok_or_else(|| format!("unknown job {id}"))?;
+            entry.stream.as_ref().map_err(Clone::clone)?.key
         };
-        let suite_text = match profile.faults.as_ref() {
-            Some(_) => Some(load_suite(&profile)?.0),
-            None => None,
-        };
-        let key = profile.eval_fingerprint(suite_text.as_deref());
         self.registry().add(wk::SERVE_PARETO_QUERIES, 1);
         let simulations = self
             .fleet
-            .streams()
-            .into_iter()
-            .find(|(stream, _)| *stream == key)
-            .map_or(0, |(_, evaluator)| evaluator.cache_misses());
-        let front = self.with_archive(key, |entry| entry.archive.front());
-        let mut out = String::new();
-        out.push_str(&format!("key {key:016x}\n"));
-        out.push_str(&format!("simulations {simulations}\n"));
-        for point in &front {
-            out.push_str(&format!(
-                "point {:016x} pdr {} {:.4} power_mw {} {:.3} latency_ms {} {:.3} nlt_days {} {:.2}\n",
-                point.fingerprint,
-                f64_hex(point.pdr),
-                point.pdr,
-                f64_hex(point.power_mw),
-                point.power_mw,
-                f64_hex(point.latency_ms),
-                point.latency_ms,
-                f64_hex(point.nlt_days),
-                point.nlt_days,
-            ));
-        }
-        if front.is_empty() {
+            .stream(key)
+            .map_or(0, |evaluator| evaluator.cache_misses());
+        let mut out = format!("key {key:016x}\nsimulations {simulations}\n");
+        let empty = self.with_archive(key, |entry| {
+            out.push_str(&entry.rows);
+            entry.archive.is_empty()
+        });
+        if empty {
             let report = hi_lint::lint_front_query(&hi_lint::FrontQuerySpec {
                 completed_jobs: self.registry().counter_value(wk::SERVE_JOBS_COMPLETED),
                 archived_points: 0,
@@ -704,7 +768,7 @@ impl Server {
         self.cv.notify_all();
     }
 
-    fn next_job(&self) -> Option<(u64, UserProfile)> {
+    fn next_job(&self) -> Option<(u64, UserProfile, Result<JobStream, String>)> {
         let mut guard = self.state.lock().expect("server state poisoned");
         loop {
             if guard.shutdown {
@@ -715,6 +779,7 @@ impl Server {
                 entry.record.state = JobState::Running;
                 let record = entry.record.clone();
                 let profile = entry.profile.clone();
+                let stream = entry.stream.clone();
                 guard.running = Some(id);
                 self.sync_depth(&guard);
                 drop(guard);
@@ -722,7 +787,7 @@ impl Server {
                 if let Err(e) = store::write_atomic(&path, record.to_text().as_bytes()) {
                     eprintln!("warning: cannot persist job {id} running state: {e}");
                 }
-                return Some((id, profile));
+                return Some((id, profile, stream));
             }
             guard = self.cv.wait(guard).expect("server state poisoned");
         }
@@ -764,31 +829,29 @@ impl Server {
         self.cv.notify_all();
     }
 
-    fn run_job(&self, id: u64, profile: UserProfile) {
-        let suite = match profile.faults.as_ref() {
-            Some(_) => match load_suite(&profile) {
-                Ok(loaded) => Some(loaded),
-                Err(e) => {
-                    let result = format!(
-                        "profile {}\nengine {}\nstatus failed\nerror {}\n",
-                        profile.id,
-                        profile.engine,
-                        e.replace('\n', "; ")
-                    );
-                    self.finalize(id, JobState::Failed, result);
-                    return;
-                }
-            },
-            None => None,
+    fn run_job(&self, id: u64, profile: UserProfile, stream: Result<JobStream, String>) {
+        let JobStream { key, suite } = match stream {
+            Ok(stream) => stream,
+            Err(e) => {
+                let result = format!(
+                    "profile {}\nengine {}\nstatus failed\nerror {}\n",
+                    profile.id,
+                    profile.engine,
+                    e.replace('\n', "; ")
+                );
+                self.finalize(id, JobState::Failed, result);
+                return;
+            }
         };
         let protocol = profile.protocol().with_max_events(self.config.max_events);
-        let key = profile.eval_fingerprint(suite.as_ref().map(|(text, _, _)| text.as_str()));
         let evaluator = self.fleet.evaluator(key, || {
-            let built = match suite {
-                None => FleetEvaluator::Nominal(protocol.shared_evaluator()),
-                Some((_, parsed, mode)) => {
-                    FleetEvaluator::Robust(RobustEvaluator::new(protocol, parsed, mode))
-                }
+            let built = match (suite, &profile.faults) {
+                (Some(suite), Some(faults)) => FleetEvaluator::Robust(RobustEvaluator::new(
+                    protocol,
+                    (*suite).clone(),
+                    faults.mode,
+                )),
+                _ => FleetEvaluator::Nominal(protocol.shared_evaluator()),
             };
             // First touch of this stream this lifetime: seed everything
             // a previous process already simulated, *before* any job
@@ -933,12 +996,12 @@ impl Server {
     /// on a dedicated thread — typically the process's main thread.
     pub fn scheduler_loop(&self) {
         let _guard = self.collector.install(0, 0);
-        while let Some((id, profile)) = self.next_job() {
+        while let Some((id, profile, stream)) = self.next_job() {
             let mut span = hi_trace::span("serve.job");
             if span.is_recording() {
                 span.arg("job", id);
             }
-            self.run_job(id, profile);
+            self.run_job(id, profile, stream);
         }
         for (key, evaluator) in self.fleet.streams() {
             if let Err(e) = self.segments.flush(key, &evaluator.export_entries()) {
@@ -954,11 +1017,9 @@ impl Server {
     }
 }
 
-type LoadedSuite = (String, FaultSuite, RobustMode);
-
 /// Reads, parses and lints a profile's fault suite; returns the raw
-/// text (for fingerprinting), the parsed suite and the robust mode.
-fn load_suite(profile: &UserProfile) -> Result<LoadedSuite, String> {
+/// text (for fingerprinting) and the parsed suite.
+fn load_suite(profile: &UserProfile) -> Result<(String, FaultSuite), String> {
     let faults = profile.faults.as_ref().expect("caller checked faults");
     let text = std::fs::read_to_string(&faults.path)
         .map_err(|e| format!("cannot read fault suite `{}`: {e}", faults.path))?;
@@ -976,7 +1037,7 @@ fn load_suite(profile: &UserProfile) -> Result<LoadedSuite, String> {
             report.error_count()
         ));
     }
-    Ok((text, suite, faults.mode))
+    Ok((text, suite))
 }
 
 /// Serves one protocol connection: reads request lines from `reader`,
@@ -1576,6 +1637,70 @@ mod tests {
         };
         assert_eq!(strip(&cold), strip(&warm));
         assert!(server.fronts.stats().loaded > 0, "front segments reload");
+        let _ = std::fs::remove_dir_all(&config.state_dir);
+    }
+
+    #[test]
+    fn cached_front_rows_equal_a_fresh_render_after_each_offer() {
+        let mut entry = ArchiveEntry::hydrate(Vec::new());
+        let mut reference = ParetoArchive::new(ArchiveConfig::default());
+        assert_eq!(entry.rows, "");
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for i in 0..200u64 {
+            let point = FrontPoint {
+                fingerprint: i * 7 + 1,
+                power_mw: 0.5 + next(),
+                pdr: next(),
+                latency_ms: 1.0 + 20.0 * next(),
+                nlt_days: 10.0 + 30.0 * next(),
+            };
+            // Every fifth offer repeats an earlier fingerprint: skipped.
+            let repeat = FrontPoint {
+                fingerprint: (i / 5 * 5) * 7 + 1,
+                ..point
+            };
+            let offered = if i % 5 == 4 { repeat } else { point };
+            if i % 5 != 4 {
+                reference.insert(point);
+            }
+            entry.offer(vec![offered]);
+            assert_eq!(entry.rows, render_front_rows(reference.iter()), "offer {i}");
+        }
+        assert!(entry.archive.len() > 1, "the test front is not trivial");
+    }
+
+    #[test]
+    fn a_finished_jobs_front_survives_editing_or_deleting_its_suite() {
+        let config = quick_config("suite-edit");
+        std::fs::create_dir_all(&config.state_dir).unwrap();
+        let suite = config.state_dir.join("copy.suite");
+        let demo = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/demo.suite");
+        std::fs::copy(demo, &suite).unwrap();
+        let profile = format!("{QUICK_PROFILE}faults {} worst\n", suite.display());
+        let server = Arc::new(Server::new(config.clone()).unwrap());
+        let scheduler = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.scheduler_loop())
+        };
+        let out = drive(
+            &server,
+            &format!("SUBMIT {}\n{profile}WAIT 1\n", profile.lines().count()),
+        );
+        assert!(out.ends_with("OK status 1 done\n"), "{out}");
+        let front = server.front_block(1).unwrap();
+        assert!(front.contains("\npoint "), "{front}");
+        std::fs::write(&suite, "scenario calm\n").unwrap();
+        assert_eq!(server.front_block(1).unwrap(), front, "suite edited");
+        std::fs::remove_file(&suite).unwrap();
+        assert_eq!(server.front_block(1).unwrap(), front, "suite deleted");
+        drive(&server, "SHUTDOWN\n");
+        scheduler.join().unwrap();
         let _ = std::fs::remove_dir_all(&config.state_dir);
     }
 
